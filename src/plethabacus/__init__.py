@@ -31,7 +31,6 @@ from .abacus import (
 from .cli import VerifyConfig, main, run_verify
 from .oracle import (
     MultivariatePolynomial,
-    NonTerminating,
     NotSymmetric,
     TooFewVariables,
     newton_check,
@@ -47,6 +46,7 @@ from .partitions import (
     InvalidPartition,
     NotContained,
     Partition,
+    SchurExpansion,
     SkewPartition,
     make_partition,
     make_skew,
@@ -81,7 +81,6 @@ from .strips import (
     sign_recursion_check,
 )
 from .symfunc import (
-    SchurExpansion,
     mn_multiply,
     plethystic_mn,
     plethystic_mn_multi,

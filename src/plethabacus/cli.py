@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
             r_range=args.r_range,
             m_range=args.m_range,
             max_degree=args.max_degree,
-            jobs=args.jobs,
+            jobs=_default_jobs() if args.jobs is None else args.jobs,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -239,13 +239,17 @@ def cmd_verify(args) -> int:
 
 
 def _default_jobs() -> int:
+    """Worker count for verify without --jobs: PLETHABACUS_JOBS, else 1."""
     env = os.environ.get("PLETHABACUS_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if env is None:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"PLETHABACUS_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r-range", type=_parse_range, default=(1, 3))
     p_verify.add_argument("--m-range", type=_parse_range, default=(1, 3))
     p_verify.add_argument("--max-degree", type=int, default=12)
-    p_verify.add_argument("--jobs", type=int, default=_default_jobs())
+    p_verify.add_argument(
+        "--jobs", type=int, default=None, help="worker processes (default: PLETHABACUS_JOBS or 1)"
+    )
     return parser
 
 

@@ -3,9 +3,10 @@
 Polynomials in n variables are stored as packed exponent codes: each
 exponent sits in a fixed bit field of one int64 with variable 1 in the
 most significant field, so numeric order on codes equals lexicographic
-order on exponent vectors. Arithmetic is exact int64 throughout; any
+order on exponent vectors. Polynomial arithmetic is exact int64; any
 operation whose intermediates could exceed 63 bits raises OverflowError
-instead of wrapping.
+instead of wrapping. Schur polynomials and Schur decompositions come
+from Kostka numbers, computed and solved in Python ints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .partitions import Partition, make_partition
+from .partitions import Partition, SchurExpansion, partitions_of_size
 
 _CHUNK = 1 << 24
 _COEFF_LIMIT = 1 << 62
@@ -27,10 +28,6 @@ class NotSymmetric(ValueError):
 
 class TooFewVariables(ValueError):
     """Fewer variables than the degree; Schur decomposition may lose terms."""
-
-
-class NonTerminating(RuntimeError):
-    """Leading-term elimination failed to make progress."""
 
 
 def _bits_for(n: int) -> int:
@@ -204,22 +201,26 @@ def _unpack(code: int, n: int, bits: int) -> tuple:
 _H_CODES_CACHE: dict = {}
 
 
-def _h_codes(m: int, k: int, bits: int) -> np.ndarray:
-    """Sorted codes of all degree-m monomials in the k least significant fields."""
-    key = (bits, m, k)
+def _h_codes(m: int, k: int, bits: int, cap: int) -> np.ndarray:
+    """Sorted codes of the degree-m monomials in the k least significant
+    fields whose exponents are all at most cap."""
+    key = (bits, m, k, cap)
     cached = _H_CODES_CACHE.get(key)
     if cached is not None:
         return cached
-    if k == 0:
-        out = np.array([0], dtype=np.int64) if m == 0 else _EMPTY_CODES
-    elif m == 0:
+    if m == 0:
         out = np.array([0], dtype=np.int64)
+    elif k == 0 or m > k * cap:
+        out = _EMPTY_CODES
     elif k == 1:
         out = np.array([m], dtype=np.int64)
     else:
         sh = bits * (k - 1)
         out = np.concatenate(
-            [(np.int64(e) << sh) + _h_codes(m - e, k - 1, bits) for e in range(m + 1)]
+            [
+                (np.int64(e) << sh) + _h_codes(m - e, k - 1, bits, cap)
+                for e in range(min(m, cap) + 1)
+            ]
         )
     _H_CODES_CACHE[key] = out
     return out
@@ -232,7 +233,7 @@ def poly_h(m: int, n: int) -> MultivariatePolynomial:
     bits = _bits_for(n)
     if m >= 1 << bits:
         raise OverflowError(f"degree {m} does not fit {bits}-bit exponent fields")
-    codes = _h_codes(m, n, bits)
+    codes = _h_codes(m, n, bits, m)
     return MultivariatePolynomial(n, codes, np.ones(len(codes), dtype=np.int64))
 
 
@@ -247,132 +248,63 @@ def poly_p(r: int, n: int) -> MultivariatePolynomial:
     return MultivariatePolynomial(n, codes, np.ones(n, dtype=np.int64))
 
 
-def _h1_power(j: int, n: int) -> MultivariatePolynomial:
-    """(x_1 + ... + x_n)^j via multinomial coefficients, no convolution."""
-    bits = _bits_for(n)
-    fact = [1]
-    for i in range(1, j + 1):
-        fact.append(fact[-1] * i)
-    if fact[-1] >= _COEFF_LIMIT:
-        raise OverflowError(f"multinomials of degree {j} exceed 63-bit headroom")
-    codes = _h_codes(j, n, bits)
-    ftable = np.array(fact, dtype=np.int64)
-    mask = (1 << bits) - 1
-    denom = np.ones(len(codes), dtype=np.int64)
-    for i in range(n):
-        denom *= ftable[(codes >> (bits * (n - 1 - i))) & mask]
-    return MultivariatePolynomial(n, codes, np.int64(fact[j]) // denom)
-
-
-_H_MONOMIAL_CACHE: dict = {}
-
-
-def _scatter_product(f: MultivariatePolynomial, h: MultivariatePolynomial):
-    """f * h for full-support f and all-ones h, scattered onto the code master.
-
-    Every monomial of the product degree occurs, so each partial product
-    lands at a unique precomputable slot; this avoids sorting the big
-    pairwise code array. Used only for products of poly_h factors.
-    """
-    n, bits = f.n, f.bits
-    degree = sum(_unpack(int(f.codes[0]), n, bits)) + sum(_unpack(int(h.codes[0]), n, bits))
-    if int(np.abs(f.coeffs).sum()) * len(h.codes) >= _COEFF_LIMIT:
-        raise OverflowError("product coefficients exceed 63-bit headroom")
-    master = _h_codes(degree, n, bits)
-    v = np.zeros(len(master), dtype=np.int64)
-    if len(h.codes) <= len(f.codes):
-        for c in h.codes:
-            v[np.searchsorted(master, f.codes + c)] += f.coeffs
-    else:
-        for c, w in zip(f.codes, f.coeffs):
-            v[np.searchsorted(master, h.codes + c)] += w
-    return MultivariatePolynomial(n, master, v)
-
-
-def _h_monomial(t: tuple, n: int) -> MultivariatePolynomial:
-    """Product of poly_h over the parts of t (a partition), heavily cached.
-
-    Built by peeling the smallest part, so partial products are shared
-    between determinants; all-ones tails short-circuit to _h1_power.
-    """
-    key = (n, t)
-    cached = _H_MONOMIAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not t:
-        out = MultivariatePolynomial(
-            n, np.array([0], dtype=np.int64), np.ones(1, dtype=np.int64)
-        )
-    elif t[0] == 1:
-        out = _h1_power(len(t), n)
-    elif len(t) == 1:
-        out = poly_h(t[0], n)
-    else:
-        out = _scatter_product(_h_monomial(t[:-1], n), poly_h(t[-1], n))
-    _H_MONOMIAL_CACHE[key] = out
-    return out
-
-
 @lru_cache(maxsize=None)
-def _jacobi_trudi_terms(lam: Partition) -> dict:
-    """Determinant det(h_{lam_i - i + j}) as a map h-index multiset -> coeff.
+def _kostka(lam: tuple, mu: tuple) -> int:
+    """Kostka number K_{lam,mu}: semistandard tableaux of shape lam, content mu.
 
-    Expanded row by row over subsets of used columns; the sign of picking
-    column j is (-1)^(number of already-used columns above j).
+    The entries equal to len(mu) form a horizontal strip of size mu[-1]
+    (Pieri), so peel it off every possible way and recurse on the rest.
+    Both arguments are partitions of the same size as tuples without zeros.
     """
-    parts = lam.parts
-    size = len(parts)
-    states: dict = {0: {(): 1}}
-    for k in range(size):
-        nxt: dict = {}
-        for mask, monos in states.items():
-            for j in range(size):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                v = parts[k] - (k + 1) + (j + 1)
-                if v < 0:
-                    continue
-                sign = -1 if bin(mask >> (j + 1)).count("1") % 2 else 1
-                target = nxt.setdefault(mask | bit, {})
-                for mono, c in monos.items():
-                    key = tuple(sorted(mono + (v,), reverse=True)) if v else mono
-                    target[key] = target.get(key, 0) + c * sign
-        states = nxt
-    full = states.get((1 << size) - 1, {(): 1})
-    return {mono: c for mono, c in full.items() if c != 0}
+    if len(lam) > len(mu):
+        return 0
+    if not mu:
+        return 1
+    rest = mu[:-1]
+    total = 0
 
+    def peel(i: int, left: int, inner: list):
+        nonlocal total
+        if i == len(lam):
+            if left == 0:
+                total += _kostka(tuple(a for a in inner if a), rest)
+            return
+        floor = lam[i + 1] if i + 1 < len(lam) else 0
+        for take in range(min(left, lam[i] - floor) + 1):
+            inner.append(lam[i] - take)
+            peel(i + 1, left - take, inner)
+            inner.pop()
 
-_SCHUR_DENSE_CACHE: dict = {}
-
-
-def _schur_dense(lam: Partition, n: int) -> np.ndarray:
-    """Coefficient vector of s_lam aligned to the degree-|lam| code master."""
-    key = (n, lam)
-    cached = _SCHUR_DENSE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    bits = _bits_for(n)
-    master = _h_codes(lam.size(), n, bits)
-    v = np.zeros(len(master), dtype=np.int64)
-    for mono, c in _jacobi_trudi_terms(lam).items():
-        v += np.int64(c) * _h_monomial(mono, n).coeffs
-    _SCHUR_DENSE_CACHE[key] = v
-    return v
+    peel(0, mu[-1], [])
+    return total
 
 
 def poly_schur(lam: Partition, n: int) -> MultivariatePolynomial:
-    """Schur polynomial via the Jacobi-Trudi determinant over poly_h values.
+    """Schur polynomial as sum over mu of K_{lam,mu} times the monomial m_mu.
 
-    When lam has more parts than variables the polynomial vanishes; a
-    warning is emitted and the zero polynomial returned.
+    Each monomial of degree |lam| with exponents at most lam_1 (beyond
+    that K_{lam,mu} vanishes) takes the Kostka number of its sorted
+    exponent vector. When lam has more parts than variables the
+    polynomial vanishes; a warning is emitted and the zero polynomial
+    returned.
     """
     if len(lam) > n:
         warnings.warn(f"s_{lam} vanishes in {n} variables", stacklevel=2)
         return MultivariatePolynomial(n, _EMPTY_CODES, _EMPTY_COEFFS)
     bits = _bits_for(n)
-    master = _h_codes(lam.size(), n, bits)
-    v = _schur_dense(lam, n)
+    if lam.part(1) >= 1 << bits:
+        raise OverflowError(f"part {lam.part(1)} does not fit {bits}-bit exponent fields")
+    master = _h_codes(lam.size(), n, bits, lam.part(1))
+    shifts = np.arange(n - 1, -1, -1, dtype=np.int64) * bits
+    digits = (master[:, None] >> shifts) & ((1 << bits) - 1)
+    sorted_codes = (-np.sort(-digits, axis=1) << shifts).sum(axis=1)
+    shapes, labels = np.unique(sorted_codes, return_inverse=True)
+    kostka = [
+        _kostka(lam.parts, tuple(e for e in _unpack(int(code), n, bits) if e))
+        for code in shapes
+    ]
+    # np.array raises OverflowError on an int beyond int64 instead of wrapping
+    v = np.array(kostka, dtype=np.int64)[labels]
     keep = v != 0
     return MultivariatePolynomial(n, master[keep], v[keep])
 
@@ -403,16 +335,14 @@ def _check_symmetric(f: MultivariatePolynomial):
             raise NotSymmetric(f"not invariant under swapping variables {i + 1}, {i + 2}")
 
 
-def schur_decompose(f: MultivariatePolynomial):
+def schur_decompose(f: MultivariatePolynomial) -> SchurExpansion:
     """Write a symmetric homogeneous polynomial as a Schur combination.
 
-    Repeatedly reads the lexicographically largest exponent vector (a
-    partition, by symmetry), subtracts that multiple of the matching
-    Schur polynomial, and stops at zero. Exact and self-checking: any
-    failure to strictly reduce the leading term raises NonTerminating.
+    A symmetric polynomial is fixed by its coefficients a_mu at partition
+    exponents, and a_mu = sum over lam of c_lam * K_{lam,mu}. The Kostka
+    matrix is unitriangular in descending lexicographic order, so the
+    Schur coefficients c_mu are solved one by one, exactly in Python ints.
     """
-    from .symfunc import SchurExpansion
-
     if f.is_zero():
         return SchurExpansion(0, {})
     degs = f.degrees()
@@ -422,27 +352,12 @@ def schur_decompose(f: MultivariatePolynomial):
     if f.n < degree:
         raise TooFewVariables(f"{f.n} variables < degree {degree}")
     _check_symmetric(f)
-    master = _h_codes(degree, f.n, f.bits)
-    v = np.zeros(len(master), dtype=np.int64)
-    idx = np.searchsorted(master, f.codes)
-    v[idx] = f.coeffs
     terms = {}
-    last = len(master)
-    while True:
-        nz = np.flatnonzero(v)
-        if len(nz) == 0:
-            break
-        i = int(nz[-1])
-        if i >= last:
-            raise NonTerminating(f"leading code did not decrease at step {len(terms)}")
-        exps = _unpack(int(master[i]), f.n, f.bits)
-        if any(a < b for a, b in zip(exps, exps[1:])):
-            raise NotSymmetric(f"leading exponent {exps} is not a partition")
-        lam = make_partition(exps)
-        c = int(v[i])
-        v -= np.int64(c) * _schur_dense(lam, f.n)
-        terms[lam] = c
-        last = i
+    for mu in partitions_of_size(degree):
+        c = f.coefficient(mu.parts + (0,) * (f.n - len(mu)))
+        c -= sum(d * _kostka(lam.parts, mu.parts) for lam, d in terms.items())
+        if c:
+            terms[mu] = c
     return SchurExpansion(degree, terms)
 
 

@@ -1,4 +1,4 @@
-"""Partitions, skew shapes and rims of Young diagrams.
+"""Partitions, skew shapes, rims of Young diagrams and Schur expansions.
 
 Conventions: partitions store no trailing zeros, boxes are 1-based with
 row 1 at the top (English orientation), and comparisons treat missing
@@ -7,7 +7,7 @@ parts as zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -111,6 +111,57 @@ class SkewPartition:
 def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
     """Build a skew shape; raises NotContained unless inner fits in outer."""
     return SkewPartition(outer, inner)
+
+
+@dataclass(frozen=True)
+class SchurExpansion:
+    """Finitely supported integer combination of Schur functions of one degree."""
+
+    degree: int
+    terms: dict[Partition, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {p: c for p, c in self.terms.items() if c != 0}
+        for p in clean:
+            if p.size() != self.degree:
+                raise ValueError(f"{p} does not have degree {self.degree}")
+        object.__setattr__(self, "terms", clean)
+
+    def items(self) -> list[tuple[Partition, int]]:
+        """Terms sorted by partition, descending lexicographically."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+
+    def coefficient(self, p: Partition) -> int:
+        return self.terms.get(p, 0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SchurExpansion):
+            return NotImplemented
+        return self.degree == other.degree and self.terms == other.terms
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for p, c in self.items():
+            sign = "+" if c > 0 else "-"
+            mag = "" if abs(c) == 1 else f"{abs(c)} "
+            body = ",".join(str(x) for x in p.parts)
+            bits.append(f"{sign} {mag}s[{body}]")
+        return " ".join(bits)
+
+    def to_json(self) -> dict:
+        return {
+            "degree": self.degree,
+            "terms": [{"lambda": p.to_json(), "coeff": c} for p, c in self.items()],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SchurExpansion":
+        return cls(
+            data["degree"],
+            {make_partition(t["lambda"]): t["coeff"] for t in data["terms"]},
+        )
 
 
 def rim(shape: Partition) -> set[Box]:

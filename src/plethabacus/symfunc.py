@@ -8,62 +8,9 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .abacus import Abacus, abacus_of, partition_of, runner_beads
-from .partitions import Partition, make_partition, make_skew
+from .partitions import Partition, SchurExpansion, make_skew
 from .strips import r_decompose
-
-
-@dataclass(frozen=True)
-class SchurExpansion:
-    """Finitely supported integer combination of Schur functions of one degree."""
-
-    degree: int
-    terms: dict[Partition, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {p: c for p, c in self.terms.items() if c != 0}
-        for p in clean:
-            if p.size() != self.degree:
-                raise ValueError(f"{p} does not have degree {self.degree}")
-        object.__setattr__(self, "terms", clean)
-
-    def items(self) -> list[tuple[Partition, int]]:
-        """Terms sorted by partition, descending lexicographically."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
-
-    def coefficient(self, p: Partition) -> int:
-        return self.terms.get(p, 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for p, c in self.items():
-            sign = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else f"{abs(c)} "
-            body = ",".join(str(x) for x in p.parts)
-            bits.append(f"{sign} {mag}s[{body}]")
-        return " ".join(bits)
-
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "terms": [{"lambda": p.to_json(), "coeff": c} for p, c in self.items()],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SchurExpansion":
-        return cls(
-            data["degree"],
-            {make_partition(t["lambda"]): t["coeff"] for t in data["terms"]},
-        )
 
 
 def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
@@ -151,25 +98,23 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     return SchurExpansion(nu.size() + r * m, terms)
 
 
-def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:
-    """Expansion of s_nu * (p_r applied to h_{m_1} * ... * h_{m_d})."""
+def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
+    """Expansion of s_nu times the product of p_r applied to h_m over (r, m)."""
     acc = SchurExpansion(nu.size(), {nu: 1})
-    for m in ms:
+    for r, m in factors:
         terms: dict[Partition, int] = {}
         for p, c in acc.terms.items():
             for q, d in plethystic_mn(p, r, m).terms.items():
                 terms[q] = terms.get(q, 0) + c * d
         acc = SchurExpansion(acc.degree + r * m, terms)
     return acc
+
+
+def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:
+    """Expansion of s_nu * (p_r applied to h_{m_1} * ... * h_{m_d})."""
+    return _fold(nu, [(r, m) for m in ms])
 
 
 def power_product_pleth(nu: Partition, rs: list[int], m: int) -> SchurExpansion:
     """Expansion of s_nu * product over i of (p_{r_i} applied to h_m)."""
-    acc = SchurExpansion(nu.size(), {nu: 1})
-    for r in rs:
-        terms: dict[Partition, int] = {}
-        for p, c in acc.terms.items():
-            for q, d in plethystic_mn(p, r, m).terms.items():
-                terms[q] = terms.get(q, 0) + c * d
-        acc = SchurExpansion(acc.degree + r * m, terms)
-    return acc
+    return _fold(nu, [(r, m) for r in rs])

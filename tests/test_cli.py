@@ -228,6 +228,21 @@ def test_verify_env_var_sets_default_jobs(capsys, monkeypatch):
     assert cli._default_jobs() == 1
 
 
+@pytest.mark.parametrize("value", ["many", "", "0", "-2"])
+def test_verify_rejects_bad_jobs_env_var(capsys, monkeypatch, value):
+    monkeypatch.setenv("PLETHABACUS_JOBS", value)
+    args = ["verify", "--max-nu-size", "0", "--r-range", "1..1", "--m-range", "1..1",
+            "--max-degree", "1"]
+    code, out, err = run_cli(capsys, args)
+    assert code == 2
+    assert out == ""
+    assert "PLETHABACUS_JOBS" in err
+    # an explicit --jobs does not read the variable
+    code, out, _ = run_cli(capsys, args + ["--jobs", "1"])
+    assert code == 0
+    assert "PASS" in out
+
+
 @pytest.mark.parametrize(
     "args",
     [

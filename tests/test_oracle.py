@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plethabacus.oracle
 from oracles import ssyt_monomials
 from plethabacus.oracle import (
     MultivariatePolynomial,
@@ -18,7 +21,7 @@ from plethabacus.oracle import (
     schur_decompose,
 )
 from plethabacus.partitions import make_partition, partitions_up_to
-from plethabacus.symfunc import SchurExpansion, mn_multiply
+from plethabacus.symfunc import SchurExpansion, mn_multiply, plethystic_mn
 
 
 def expansion_dict(expansion):
@@ -83,6 +86,15 @@ def test_poly_schur_matches_tableau_enumeration():
                     assert poly_schur(lam, n).is_zero()
             else:
                 assert poly_schur(lam, n).terms == want, (lam, n)
+
+
+def test_poly_schur_when_only_the_parts_fit_the_exponent_fields():
+    # 22 variables leave 2-bit fields: exponents up to 3, below the degree 4
+    for parts in ([2, 2], [3, 1], [2, 1, 1]):
+        lam = make_partition(parts)
+        assert poly_schur(lam, 22).terms == ssyt_monomials(lam, 22), lam
+    with pytest.raises(OverflowError):
+        poly_schur(make_partition([4]), 22)
 
 
 def test_constructors_are_symmetric():
@@ -234,3 +246,26 @@ def test_multiplication_overflow_is_detected():
 def test_pleth_pr_overflow_is_detected():
     with pytest.raises(OverflowError):
         pleth_pr(poly_p(40, 2), 1 << 26)
+
+
+@pytest.mark.parametrize(
+    "nu, r, m",
+    [((1,), 3, 4), ((2,), 3, 4), ((), 7, 2), ((1,), 7, 2), ((), 5, 3), ((2, 1), 4, 3)],
+)
+def test_oracle_agrees_with_plethystic_mn_at_degrees_13_to_15(nu, r, m):
+    nu = make_partition(nu)
+    assert 13 <= nu.size() + r * m <= 15
+    assert oracle_plethystic_mn(nu, r, m) == plethystic_mn(nu, r, m)
+
+
+def test_oracle_imports_no_combinatorial_module():
+    tree = ast.parse(Path(plethabacus.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    forbidden = {"abacus", "strips", "symfunc"}
+    assert [name for name in imported if forbidden & set(name.split("."))] == []
