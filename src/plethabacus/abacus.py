@@ -70,10 +70,26 @@ class Abacus:
         return {"bead_count": self.bead_count, "beads": self.sorted_beads()}
 
 
+def _beads_of(parts: tuple[int, ...], bead_count: int) -> list[int]:
+    """Descending bead positions of a partition at bead_count >= its length."""
+    padded = parts + (0,) * (bead_count - len(parts))
+    return [p + bead_count - i for i, p in enumerate(padded, 1)]
+
+
+def _partition_of_beads(beads: Sequence[int]) -> Partition:
+    """Partition encoded by descending bead positions; inverse of _beads_of."""
+    parts = []
+    for i, p in enumerate(beads, 1 - len(beads)):
+        if p + i == 0:
+            break  # parts weakly decrease, so every later one is zero too
+        parts.append(p + i)
+    return Partition(tuple(parts))
+
+
 def normalized_abacus(shape: Partition) -> Abacus:
     """Abacus of a partition with exactly as many beads as parts."""
     b = len(shape)
-    return Abacus(b, frozenset(shape.part(i) + b - i for i in range(1, b + 1)))
+    return Abacus(b, frozenset(_beads_of(shape.parts, b)))
 
 
 def with_bead_count(abacus: Abacus, bead_count: int) -> Abacus:
@@ -100,12 +116,7 @@ def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
 
 def partition_of(abacus: Abacus) -> Partition:
     """Partition encoded by an abacus; inverse of abacus_of at any bead count."""
-    beads = sorted(abacus.bead_positions, reverse=True)
-    b = abacus.bead_count
-    parts = [beads[i] - b + i + 1 for i in range(b)]
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(tuple(parts))
+    return _partition_of_beads(sorted(abacus.bead_positions, reverse=True))
 
 
 def movable_beads(abacus: Abacus, s: int) -> set[int]:

@@ -18,6 +18,7 @@ from .abacus import (
     Abacus,
     BeadMove,
     IncompatibleAbaci,
+    _beads_of,
     abacus_of,
     final_positions,
     inversion_sign,
@@ -189,6 +190,44 @@ def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     return Decomposition(tuple(chain), tuple(strips), r)
 
 
+def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | None:
+    """Strip heights along the greedy final r-strip chain from beads down to inner.
+
+    beads and inner are descending bead positions at one bead count, and
+    r >= 1 (the loop would not end otherwise). Each step moves the bead at
+    the first index where the lists differ r places up, as
+    final_border_strip does, and the height is the number of beads it
+    passes. None where r_decompose gets stuck: the new position is
+    negative or holds a bead, or the moved list no longer dominates inner
+    entrywise. Entries only ever decrease, so beads that do not dominate
+    inner to begin with (outer not containing inner) also give None.
+    """
+    beads = list(beads)
+    n = len(beads)
+    heights = []
+    i = 0
+    while True:
+        while i < n and beads[i] == inner[i]:
+            i += 1
+        if i == n:
+            return heights
+        target = beads[i] - r
+        if target < 0:
+            return None
+        # the passed beads shift up one index each and the bead lands at j;
+        # entries before i and after j keep their values
+        j = i
+        while j + 1 < n and beads[j + 1] > target:
+            if beads[j + 1] < inner[j]:
+                return None
+            beads[j] = beads[j + 1]
+            j += 1
+        if (j + 1 < n and beads[j + 1] == target) or target < inner[j]:
+            return None
+        beads[j] = target
+        heights.append(j - i)
+
+
 def decomposition_moves(dec: Decomposition, bead_count: int | None = None) -> list[BeadMove]:
     """Bead moves realizing the chain at a fixed bead count."""
     b = bead_count if bead_count is not None else max(len(p) for p in dec.chain)
@@ -232,11 +271,18 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
 
 def sgn_r(skew: SkewPartition, r: int) -> int:
     """Sign of the final-strip chain, or 0 when the skew is not r-decomposable."""
-    dec = r_decompose(skew, r)
-    if dec is None:
+    if r < 1:
+        raise ValueError(f"strip length {r} must be >= 1")
+    if skew.size() % r != 0:
         return 0
-    assert dec.sign == order_independent_sign(skew.outer, skew.inner, r)
-    return dec.sign
+    lam, nu = skew.outer, skew.inner
+    b = len(lam)
+    heights = _greedy_heights(_beads_of(lam.parts, b), _beads_of(nu.parts, b), r)
+    if heights is None:
+        return 0
+    sign = (-1) ** sum(heights)
+    assert sign == order_independent_sign(lam, nu, r)
+    return sign
 
 
 class RunnerType(enum.Enum):

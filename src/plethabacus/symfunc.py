@@ -8,9 +8,9 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from .abacus import Abacus, abacus_of, partition_of, runner_beads
-from .partitions import Partition, SchurExpansion, make_skew
-from .strips import r_decompose
+from .abacus import _partition_of_beads, abacus_of, runner_beads
+from .partitions import Partition, SchurExpansion
+from .strips import _greedy_heights
 
 
 def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
@@ -21,7 +21,9 @@ def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
     for beta in a.bead_positions:
         if a.has_bead(beta + s):
             continue
-        lam = partition_of(Abacus(b, (a.bead_positions - {beta}) | {beta + s}))
+        lam = _partition_of_beads(
+            sorted((a.bead_positions - {beta}) | {beta + s}, reverse=True)
+        )
         height = sum(1 for p in a.bead_positions if beta < p < beta + s)
         out.append((lam, height))
     return out
@@ -33,7 +35,8 @@ def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
         raise ValueError(f"strip length {r} must be >= 1")
     terms = {}
     for lam, height in _strip_additions(nu, r):
-        assert lam not in terms
+        if lam in terms:
+            raise AssertionError(f"{lam} added twice to {nu} with r={r}")
         terms[lam] = (-1) ** height
     return SchurExpansion(nu.size() + r, terms)
 
@@ -67,7 +70,8 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_m): sgn_r(lam/nu) over lam.
 
     Candidates lam are generated runner by runner on the abacus of nu
-    padded to len(nu) + r*m beads, so only r-decomposable shapes appear.
+    padded to len(nu) + r*m beads, so only r-decomposable shapes appear;
+    each is signed by the greedy final-strip chain on its bead positions.
     """
     if r < 1 or m < 0:
         raise ValueError(f"need r >= 1 and m >= 0, got r={r}, m={m}")
@@ -75,6 +79,7 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
         return SchurExpansion(nu.size(), {nu: 1})
     b = len(nu) + r * m
     c = abacus_of(nu, b)
+    nu_beads = sorted(c.bead_positions, reverse=True)
     per_runner = []
     for t in range(r):
         steps = [(p - t) // r for p in runner_beads(c, r, t)]
@@ -89,10 +94,15 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
                 if t < r - 1:
                     assemble(t + 1, left - j, positions)
                 else:
-                    lam = partition_of(Abacus(b, frozenset(positions)))
-                    dec = r_decompose(make_skew(lam, nu), r)
-                    assert dec is not None and lam not in terms
-                    terms[lam] = dec.sign
+                    positions.sort(reverse=True)
+                    heights = _greedy_heights(positions, nu_beads, r)
+                    lam = _partition_of_beads(positions)
+                    if heights is None or lam in terms:
+                        raise AssertionError(
+                            f"candidate {lam} over {nu} with r={r}, m={m} "
+                            "is repeated or not r-decomposable"
+                        )
+                    terms[lam] = (-1) ** sum(heights)
 
     assemble(0, m, [])
     return SchurExpansion(nu.size() + r * m, terms)

@@ -275,3 +275,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "+ s[4] - s[3,1] + s[2,2]\n"
+
+
+def test_expand_under_optimize_flag_matches_default():
+    # python -O strips bare asserts; the expansion must not depend on them
+    args = ["-m", "plethabacus", "expand", "--nu", "2,1", "--r", "2", "--m", "3"]
+    args += ["--format", "json"]
+    plain = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+    optimized = subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert json.loads(plain.stdout)["terms"]
+    assert optimized.stdout == plain.stdout

@@ -36,6 +36,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
+from plethabacus.strips import _greedy_heights
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -179,6 +180,25 @@ def test_r_decompose_empty_and_failures():
     assert r_decompose(make_skew(make_partition([2, 1]), make_partition([])), 2) is None
 
 
+def test_greedy_heights_kernel_matches_r_decompose():
+    # every lam containing nu with |lam| <= 12, |nu| <= 6, r <= 4 and r | |lam/nu|
+    cases = 0
+    for lam in partitions_up_to(12):
+        for k in range(min(6, lam.size()) + 1):
+            for nu in subpartitions_of_size(lam, k):
+                for r in (1, 2, 3, 4):
+                    if (lam.size() - k) % r:
+                        continue
+                    cases += 1
+                    dec = r_decompose(make_skew(lam, nu), r)
+                    want = None if dec is None else list(dec.heights)
+                    for b in (len(lam), len(lam) + 3):
+                        beads = sorted(abacus_of(lam, b).bead_positions, reverse=True)
+                        inner = sorted(abacus_of(nu, b).bead_positions, reverse=True)
+                        assert _greedy_heights(beads, inner, r) == want, (lam, nu, r, b)
+    assert cases == 10614
+
+
 def test_decomposition_moves_match_chain():
     dec = r_decompose(make_skew(LAM, NU), 2)
     moves = decomposition_moves(dec)
@@ -206,6 +226,12 @@ def test_sgn_r_examples():
     assert sgn_r(make_skew(NU, NU), 4) == 1
     assert sgn_r(make_skew(make_partition([3, 1]), make_partition([])), 2) == -1
     assert sgn_r(make_skew(LAM2, NU2), 2) == 0
+
+
+def test_sgn_r_rejects_nonpositive_strip_length():
+    for r in (0, -2):
+        with pytest.raises(ValueError):
+            sgn_r(make_skew(make_partition([2, 2]), make_partition([])), r)
 
 
 def test_order_independent_sign_examples():

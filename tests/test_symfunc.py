@@ -4,7 +4,14 @@ import pytest
 
 from oracles import horizontal_strip_additions, ribbon_additions
 from plethabacus.oracle import oracle_plethystic_mn
-from plethabacus.partitions import make_partition, partitions_of_size, partitions_up_to
+from plethabacus.partitions import (
+    make_partition,
+    make_skew,
+    partitions_of_size,
+    partitions_of_size_containing,
+    partitions_up_to,
+)
+from plethabacus.strips import r_decompose
 from plethabacus.symfunc import (
     SchurExpansion,
     mn_multiply,
@@ -127,6 +134,24 @@ def test_plethystic_mn_coefficients_are_signs():
                     assert c in (-1, 1)
                     assert p.size() == e.degree
                     assert p.contains(nu)
+
+
+def test_plethystic_mn_support_is_the_r_decomposable_shapes():
+    # every lam containing nu of the degree, signed by the reference chain
+    shapes = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3):
+            for m in (1, 2, 3):
+                n = nu.size() + r * m
+                if n > 12:
+                    continue
+                e = plethystic_mn(nu, r, m)
+                for lam in partitions_of_size_containing(n, nu):
+                    shapes += 1
+                    dec = r_decompose(make_skew(lam, nu), r)
+                    want = 0 if dec is None else dec.sign
+                    assert e.coefficient(lam) == want, (lam, nu, r, m)
+    assert shapes == 1440
 
 
 def test_plethystic_mn_matches_oracle_on_larger_inner_shapes():
