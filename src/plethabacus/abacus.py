@@ -130,10 +130,18 @@ def movable_beads(abacus: Abacus, s: int) -> set[int]:
     }
 
 
+def _check_movable(abacus: Abacus, beta: int, s: int) -> None:
+    """Raise unless beta is one of movable_beads(abacus, s)."""
+    if s < 1:
+        raise ValueError("step must be positive")
+    beads = abacus.bead_positions
+    if beta not in beads or beta < s or (beta - s) in beads:
+        raise NotMovable(f"no movable bead at {beta} with step {s}")
+
+
 def swap_bead(abacus: Abacus, beta: int, s: int) -> Abacus:
     """Move the bead at beta up to the gap at beta - s."""
-    if beta not in movable_beads(abacus, s):
-        raise NotMovable(f"no movable bead at {beta} with step {s}")
+    _check_movable(abacus, beta, s)
     beads = set(abacus.bead_positions)
     beads.remove(beta)
     beads.add(beta - s)
@@ -142,8 +150,7 @@ def swap_bead(abacus: Abacus, beta: int, s: int) -> Abacus:
 
 def strip_height(abacus: Abacus, beta: int, s: int) -> int:
     """Beads strictly between beta - s and beta; the height of the removed strip."""
-    if beta not in movable_beads(abacus, s):
-        raise NotMovable(f"no movable bead at {beta} with step {s}")
+    _check_movable(abacus, beta, s)
     return sum(1 for p in abacus.bead_positions if beta - s < p < beta)
 
 

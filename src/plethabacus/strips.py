@@ -19,6 +19,7 @@ from .abacus import (
     BeadMove,
     IncompatibleAbaci,
     _beads_of,
+    _partition_of_beads,
     abacus_of,
     final_positions,
     inversion_sign,
@@ -26,7 +27,6 @@ from .abacus import (
     partition_of,
     runner_beads,
     single_step_moves,
-    strip_height,
     swap_bead,
 )
 from .partitions import (
@@ -49,6 +49,11 @@ class NotTypeIICase(ValueError):
 
 class NotDivisible(ValueError):
     """Skew size is not a multiple of the strip length."""
+
+
+def _check_strip_length(r: int) -> None:
+    if r < 1:
+        raise ValueError(f"strip length {r} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,9 +117,7 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     a = abacus_of(shape)
     out = []
     for beta in sorted(movable_beads(a, s), reverse=True):
-        strip = border_strip(shape, partition_of(swap_bead(a, beta, s)))
-        assert strip.height == strip_height(a, beta, s)
-        out.append(strip)
+        out.append(border_strip(shape, partition_of(swap_bead(a, beta, s))))
     return out
 
 
@@ -176,6 +179,7 @@ class Decomposition:
 
 def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     """Greedy final-strip chain from outer to inner, or None if it gets stuck."""
+    _check_strip_length(r)
     if skew.size() % r != 0:
         return None
     nu = skew.inner
@@ -248,6 +252,7 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     counts agree and each bead's order-matched target is not below it;
     the sign is then the inversion sign of that forced matching.
     """
+    _check_strip_length(r)
     if not lam.contains(nu) or (lam.size() - nu.size()) % r != 0:
         return 0
     b = max(len(lam), len(nu))
@@ -269,20 +274,20 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     return (-1) ** inversions
 
 
+def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
+    """(-1)^(sum of _greedy_heights), or 0 where the greedy chain gets stuck."""
+    heights = _greedy_heights(beads, inner, r)
+    return 0 if heights is None else (-1) ** sum(heights)
+
+
 def sgn_r(skew: SkewPartition, r: int) -> int:
     """Sign of the final-strip chain, or 0 when the skew is not r-decomposable."""
-    if r < 1:
-        raise ValueError(f"strip length {r} must be >= 1")
+    _check_strip_length(r)
     if skew.size() % r != 0:
         return 0
     lam, nu = skew.outer, skew.inner
     b = len(lam)
-    heights = _greedy_heights(_beads_of(lam.parts, b), _beads_of(nu.parts, b), r)
-    if heights is None:
-        return 0
-    sign = (-1) ** sum(heights)
-    assert sign == order_independent_sign(lam, nu, r)
-    return sign
+    return _chain_sign(_beads_of(lam.parts, b), _beads_of(nu.parts, b), r)
 
 
 class RunnerType(enum.Enum):
@@ -385,7 +390,11 @@ class PairingWitness:
 
 
 def _brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int):
-    """All (bead, gap) swaps on runner t after which the runner is decomposable."""
+    """All (bead, gap) swaps on runner t after which the runner is decomposable.
+
+    The search behind PairingWitness.P; the tests check the closed form
+    pairing_witness uses against it.
+    """
     src, dst = _runner_move_data(a, c, r, t)
     beads = set(src)
     top = max(src + dst, default=t) + r
@@ -421,7 +430,8 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
         (k for k in range(1, len(src)) if dst[k] <= src[k - 1]),
         default=None,
     )
-    assert delta_idx is not None, "type II runner must have a stuck bead"
+    if delta_idx is None:
+        raise AssertionError(f"type II runner {t} has no stuck bead")
     delta, delta_star = src[delta_idx], src[delta_idx - 1]
 
     # walk up to the top of the contiguous block of beads jammed over delta
@@ -429,14 +439,14 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     while i > 0 and (src[i - 1] > dst[i] or dst[i] in a.bead_positions):
         i -= 1
     alpha_0, alpha_1 = dst[i], dst[i + 1]
-    assert alpha_0 not in a.bead_positions
+    if alpha_0 in a.bead_positions:
+        raise AssertionError(f"runner {t}: landing position {alpha_0} holds a bead")
     alpha, alpha_star = dst[i], dst[delta_idx]
 
-    pair_set = _brute_force_pair_set(a, c, r, t)
     gammas = list(range(alpha_0, alpha_1, r))
-    assert pair_set == frozenset(
-        (eps, g) for eps in (delta, delta_star) for g in gammas
-    )
+    # exactly the swaps of delta or delta_star into one of the gaps gammas
+    # make the runner decomposable
+    pair_set = frozenset((eps, g) for eps in (delta, delta_star) for g in gammas)
 
     witnesses = []
     for gamma in gammas:
@@ -447,9 +457,14 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
         seq_star = [BeadMove(delta_star, gamma)] + walk + tail
         _, inv = inversion_sign(a, seq)
         _, inv_star = inversion_sign(a, seq_star)
-        assert len(inv) % 2 != len(inv_star) % 2
+        if len(inv) % 2 == len(inv_star) % 2:
+            raise AssertionError(f"gamma={gamma}: paired sequences share a parity")
         finals = final_positions(a, seq)
-        assert finals[delta] == alpha and finals[delta_star] == alpha_star
+        if (finals[delta], finals[delta_star]) != (alpha, alpha_star):
+            raise AssertionError(
+                f"gamma={gamma}: beads {delta}, {delta_star} end at "
+                f"{finals[delta]}, {finals[delta_star]}, not {alpha}, {alpha_star}"
+            )
         witnesses.append(
             PairingWitness(
                 delta=delta,
@@ -507,29 +522,47 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
 
     Summands range over removals of a single border strip of length
     divisible by r whose complement still contains the inner shape,
-    ordered by runner index and then by bead position descending.
+    ordered by runner index and then by bead position descending. On the
+    outer shape's descending bead list such a removal moves a bead beta
+    to a gap beta - s >= 0; its height is the number of beads passed, and
+    the complement contains the inner shape when the moved list still
+    dominates the inner shape's bead list entrywise.
     """
+    _check_strip_length(r)
     if skew.size() % r != 0:
         raise NotDivisible(f"size {skew.size()} not divisible by {r}")
     lam, nu = skew.outer, skew.inner
     m = skew.size() // r
     b = max(len(lam), len(nu), 1)
-    a = abacus_of(lam, b)
+    beads = _beads_of(lam.parts, b)
+    inner = _beads_of(nu.parts, b)
+    occupied = set(beads)
     entries = []
     for q in range(1, m + 1):
         s = q * r
-        for beta in movable_beads(a, s):
-            mu = partition_of(swap_bead(a, beta, s))
-            if not mu.contains(nu):
+        for i, beta in enumerate(beads):
+            target = beta - s
+            if target < 0 or target in occupied:
                 continue
-            strip_sign = (-1) ** strip_height(a, beta, s)
-            tail = sgn_r(make_skew(mu, nu), r)
-            entries.append((beta % r, -beta, q, RecursionSummand(mu, s, strip_sign, tail)))
+            # the passed beads shift up one index each and beta lands at j
+            j = i
+            while j + 1 < b and beads[j + 1] > target:
+                j += 1
+            moved = beads[:i] + beads[i + 1 : j + 1] + [target] + beads[j + 1 :]
+            if any(x < y for x, y in zip(moved, inner)):
+                continue
+            summand = RecursionSummand(
+                mu=_partition_of_beads(moved),
+                strip_length=s,
+                strip_sign=(-1) ** (j - i),
+                tail_sign=_chain_sign(moved, inner, r),
+            )
+            entries.append((beta % r, -beta, q, summand))
     entries.sort(key=lambda e: e[:3])
     return SignRecursionReport(
         skew=skew,
         r=r,
         m=m,
-        sgn_r_value=sgn_r(skew, r),
+        sgn_r_value=_chain_sign(beads, inner, r),
         summands=tuple(e[3] for e in entries),
     )

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ribbon_removals
+from oracles import ribbon_height, ribbon_removals
 from plethabacus.abacus import (
     Abacus,
     BadRunner,
@@ -137,14 +137,14 @@ def test_swap_bead_examples():
 
 
 def test_swap_bead_matches_ribbon_removal():
-    for p in partitions_up_to(8):
+    for p in partitions_up_to(12):
         a = normalized_abacus(p)
-        for s in range(1, 5):
+        for s in range(1, 7):
             got = {
-                partition_of(swap_bead(a, beta, s)): (-1) ** strip_height(a, beta, s)
+                partition_of(swap_bead(a, beta, s)): strip_height(a, beta, s)
                 for beta in movable_beads(a, s)
             }
-            assert got == ribbon_removals(p, s), (p, s)
+            assert got == {mu: ribbon_height(p, mu) for mu in ribbon_removals(p, s)}, (p, s)
 
 
 def test_strip_height_examples():

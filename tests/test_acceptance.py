@@ -184,6 +184,10 @@ def test_05_sign_recursion_full_sweep():
                     report = sign_recursion_check(make_skew(lam, nu), r)
                     assert report.lhs == report.rhs, (lam, nu, r)
                     assert report.m == m
+                    # the greedy sign is the order-independent one; every tail
+                    # mu/nu a summand signs is itself a case of this loop
+                    if report.sgn_r_value:
+                        assert report.sgn_r_value == order_independent_sign(lam, nu, r)
                     b = max(len(lam), len(nu), 1)
                     try:
                         profile = runner_profile(abacus_of(lam, b), abacus_of(nu, b), r)

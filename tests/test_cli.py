@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +290,13 @@ def test_expand_under_optimize_flag_matches_default():
     assert plain.returncode == optimized.returncode == 0
     assert json.loads(plain.stdout)["terms"]
     assert optimized.stdout == plain.stdout
+
+
+def test_library_has_no_bare_asserts():
+    # python -O would drop them, so checks raise AssertionError explicitly
+    hits = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []

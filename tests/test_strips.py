@@ -36,7 +36,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
-from plethabacus.strips import _greedy_heights
+from plethabacus.strips import _brute_force_pair_set, _greedy_heights
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -192,6 +192,9 @@ def test_greedy_heights_kernel_matches_r_decompose():
                     cases += 1
                     dec = r_decompose(make_skew(lam, nu), r)
                     want = None if dec is None else list(dec.heights)
+                    # sgn/decompose print the chain's sign; sgn_r must agree
+                    sign = 0 if dec is None else dec.sign
+                    assert sgn_r(make_skew(lam, nu), r) == sign, (lam, nu, r)
                     for b in (len(lam), len(lam) + 3):
                         beads = sorted(abacus_of(lam, b).bead_positions, reverse=True)
                         inner = sorted(abacus_of(nu, b).bead_positions, reverse=True)
@@ -229,9 +232,16 @@ def test_sgn_r_examples():
 
 
 def test_sgn_r_rejects_nonpositive_strip_length():
+    lam, nu = make_partition([2, 2]), make_partition([])
     for r in (0, -2):
         with pytest.raises(ValueError):
-            sgn_r(make_skew(make_partition([2, 2]), make_partition([])), r)
+            sgn_r(make_skew(lam, nu), r)
+        with pytest.raises(ValueError):
+            order_independent_sign(lam, nu, r)
+        with pytest.raises(ValueError):
+            r_decompose(make_skew(lam, nu), r)
+        with pytest.raises(ValueError):
+            sign_recursion_check(make_skew(lam, nu), r)
 
 
 def test_order_independent_sign_examples():
@@ -265,7 +275,11 @@ def test_sgn_r_nonzero_iff_all_runners_decomposable():
                         )
                     except IncompatibleAbaci:
                         alldec = False
-                    assert (sgn_r(make_skew(lam, nu), r) != 0) == alldec, (lam, nu, r)
+                    sign = sgn_r(make_skew(lam, nu), r)
+                    assert (sign != 0) == alldec, (lam, nu, r)
+                    # the greedy sign is the order-independent one wherever it exists
+                    if sign:
+                        assert sign == order_independent_sign(lam, nu, r), (lam, nu, r)
 
 
 def test_runner_is_decomposable_examples():
@@ -354,7 +368,9 @@ def test_pairing_witness_summands_cancel():
             continue
         if profile.count(RunnerType.II) != 1 or RunnerType.III in profile:
             continue
+        pair_set = _brute_force_pair_set(a, c, r, profile.index(RunnerType.II))
         for w in pairing_witness(a, c, r):
+            assert w.P == pair_set, (lam, nu, r)
             assert len(w.J) % 2 != len(w.J_star) % 2
             for mu in (w.mu, w.mu_star):
                 assert is_ribbon(lam, mu)
@@ -423,7 +439,19 @@ def test_sign_recursion_summands_enumerate_strips():
 
 
 def test_sign_recursion_holds_on_small_sweep():
-    # the acceptance run covers the full documented range
+    # the acceptance run covers the full documented range; here every
+    # summand is also checked against references that build the shapes
     for lam, nu, r in skews_up_to(7, 6, (1, 2, 3)):
         report = sign_recursion_check(make_skew(lam, nu), r)
         assert report.lhs == report.rhs, (lam, nu, r)
+        b = max(len(lam), len(nu), 1)
+        keys = []
+        for s in report.summands:
+            top = min(i for i, _ in skew_boxes(lam, s.mu))
+            assert s.strip_sign == (-1) ** ribbon_height(lam, s.mu), (lam, nu, r, s.mu)
+            dec = r_decompose(make_skew(s.mu, nu), r)
+            assert s.tail_sign == (0 if dec is None else dec.sign), (lam, nu, r, s.mu)
+            # the removal moves the bead of the strip's top row
+            beta = lam.part(top) + b - top
+            keys.append((beta % r, -beta, s.strip_length // r))
+        assert keys == sorted(set(keys)), (lam, nu, r)
