@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .abacus import IncompatibleAbaci, abacus_of
@@ -68,7 +66,6 @@ class VerifyConfig:
     r_range: tuple[int, int] = (1, 3)
     m_range: tuple[int, int] = (1, 3)
     max_degree: int = 12
-    jobs: int = 1
 
     def __post_init__(self):
         if self.max_nu_size < 0 or self.max_degree < 0:
@@ -77,8 +74,6 @@ class VerifyConfig:
             raise ValueError(f"bad r range {self.r_range}")
         if self.m_range[0] < 1 or self.m_range[1] < self.m_range[0]:
             raise ValueError(f"bad m range {self.m_range}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
 
 
 def _format_partition(p: Partition) -> str:
@@ -175,13 +170,6 @@ def _recursion_case(case) -> tuple[bool, str]:
     )
 
 
-def _run_cases(fn, cases, jobs: int):
-    if jobs <= 1:
-        return [fn(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cases, chunksize=8))
-
-
 def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     """Sweep both identities inside the configured bounds; 0 iff all hold."""
     # resolve the streams late so callers may swap sys.stdout/sys.stderr
@@ -198,7 +186,7 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
                 if r * m + nu.size() <= config.max_degree
             ]
             print(f"verify: expansion r={r} m={m}: {len(block)} cases", file=err, flush=True)
-            results = _run_cases(_expansion_case, block, config.jobs)
+            results = [_expansion_case(case) for case in block]
             expansion_total += len(block)
             failures.extend(msg for ok, msg in results if not ok)
 
@@ -209,7 +197,7 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
                 for lam in partitions_of_size_containing(r * m + nu.size(), nu)
             ]
             print(f"verify: recursion r={r} m={m}: {len(block4)} cases", file=err, flush=True)
-            results = _run_cases(_recursion_case, block4, config.jobs)
+            results = [_recursion_case(case) for case in block4]
             recursion_total += len(block4)
             failures.extend(msg for ok, msg in results if not ok)
 
@@ -229,26 +217,11 @@ def cmd_verify(args) -> int:
             r_range=args.r_range,
             m_range=args.m_range,
             max_degree=args.max_degree,
-            jobs=_default_jobs() if args.jobs is None else args.jobs,
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return run_verify(config)
-
-
-def _default_jobs() -> int:
-    """Worker count for verify without --jobs: PLETHABACUS_JOBS, else 1."""
-    env = os.environ.get("PLETHABACUS_JOBS")
-    if env is None:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"PLETHABACUS_JOBS must be a positive integer, got {env!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r-range", type=_parse_range, default=(1, 3))
     p_verify.add_argument("--m-range", type=_parse_range, default=(1, 3))
     p_verify.add_argument("--max-degree", type=int, default=12)
-    p_verify.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default: PLETHABACUS_JOBS or 1)"
-    )
     return parser
 
 

@@ -1,12 +1,18 @@
 """Brute-force symmetric polynomial arithmetic, independent of the abacus.
 
-Polynomials in n variables are stored as packed exponent codes: each
-exponent sits in a fixed bit field of one int64 with variable 1 in the
-most significant field, so numeric order on codes equals lexicographic
-order on exponent vectors. Polynomial arithmetic is exact int64; any
-operation whose intermediates could exceed 63 bits raises OverflowError
-instead of wrapping. Schur polynomials and Schur decompositions come
-from Kostka numbers, computed and solved in Python ints.
+A symmetric homogeneous polynomial is fixed by its coefficients at
+partition exponents, and one unitriangular solve against Kostka numbers
+turns these into Schur coefficients, exactly in Python ints.
+oracle_plethystic_mn gets the coefficients of s_nu * (p_r o h_m) as sums
+of Kostka numbers and builds no polynomial, so it is exact at any degree.
+
+The dense ring behind schur_decompose, poly_schur and newton_check stores
+polynomials in n variables as packed exponent codes: each exponent sits
+in a fixed bit field of one int64 with variable 1 in the most
+significant field, so numeric order on codes equals lexicographic order
+on exponent vectors. Its arithmetic is exact int64; any operation whose
+intermediates could exceed 63 bits raises OverflowError instead of
+wrapping.
 """
 
 from __future__ import annotations
@@ -254,28 +260,38 @@ def _kostka(lam: tuple, mu: tuple) -> int:
 
     The entries equal to len(mu) form a horizontal strip of size mu[-1]
     (Pieri), so peel it off every possible way and recurse on the rest.
+    Only the last row of each block of equal parts can lose boxes.
     Both arguments are partitions of the same size as tuples without zeros.
+    The number vanishes unless lam dominates mu.
     """
-    if len(lam) > len(mu):
-        return 0
     if not mu:
         return 1
+    a = b = 0
+    for x, y in zip(lam, mu):
+        a += x
+        b += y
+        if a < b:
+            return 0
     rest = mu[:-1]
+    corners = [i for i in range(len(lam)) if i + 1 == len(lam) or lam[i] > lam[i + 1]]
+    room = [lam[i] - (lam[i + 1] if i + 1 < len(lam) else 0) for i in corners]
+    inner = list(lam)
     total = 0
 
-    def peel(i: int, left: int, inner: list):
+    def peel(k: int, left: int):
         nonlocal total
-        if i == len(lam):
-            if left == 0:
-                total += _kostka(tuple(a for a in inner if a), rest)
+        if left == 0:
+            total += _kostka(tuple(inner) if inner[-1] else tuple(inner[:-1]), rest)
             return
-        floor = lam[i + 1] if i + 1 < len(lam) else 0
-        for take in range(min(left, lam[i] - floor) + 1):
-            inner.append(lam[i] - take)
-            peel(i + 1, left - take, inner)
-            inner.pop()
+        if k == len(corners):
+            return
+        i = corners[k]
+        for take in range(min(left, room[k]) + 1):
+            inner[i] = lam[i] - take
+            peel(k + 1, left - take)
+        inner[i] = lam[i]
 
-    peel(0, mu[-1], [])
+    peel(0, mu[-1])
     return total
 
 
@@ -319,29 +335,50 @@ def pleth_pr(f: MultivariatePolynomial, r: int) -> MultivariatePolynomial:
 
 
 def _check_symmetric(f: MultivariatePolynomial):
-    """Invariance under every adjacent variable transposition."""
+    """Invariance under swapping variables 1 and 2 and under the cyclic
+    shift of all n variables; the two permutations generate S_n."""
+    if f.n < 2:
+        return
     mask = (1 << f.bits) - 1
-    for i in range(f.n - 1):
-        sh_hi = f.bits * (f.n - 1 - i)
-        sh_lo = f.bits * (f.n - 2 - i)
-        d_hi = (f.codes >> sh_hi) & mask
-        d_lo = (f.codes >> sh_lo) & mask
-        swapped = f.codes + (d_lo - d_hi) * ((np.int64(1) << sh_hi) - (np.int64(1) << sh_lo))
-        order = np.argsort(swapped)
-        if not (
-            np.array_equal(swapped[order], f.codes)
-            and np.array_equal(f.coeffs[order], f.coeffs)
-        ):
-            raise NotSymmetric(f"not invariant under swapping variables {i + 1}, {i + 2}")
+    sh_hi = f.bits * (f.n - 1)
+    sh_lo = f.bits * (f.n - 2)
+    d_hi = (f.codes >> sh_hi) & mask
+    d_lo = (f.codes >> sh_lo) & mask
+    swapped = f.codes + (d_lo - d_hi) * ((np.int64(1) << sh_hi) - (np.int64(1) << sh_lo))
+    _check_permuted(f, swapped, "swapping variables 1, 2")
+    shifted = (f.codes >> f.bits) | ((f.codes & mask) << sh_hi)
+    _check_permuted(f, shifted, "the cyclic shift of the variables")
+
+
+def _check_permuted(f: MultivariatePolynomial, permuted: np.ndarray, what: str):
+    order = np.argsort(permuted)
+    if not (
+        np.array_equal(permuted[order], f.codes) and np.array_equal(f.coeffs[order], f.coeffs)
+    ):
+        raise NotSymmetric(f"not invariant under {what}")
+
+
+def _solve_kostka(degree: int, coefficient) -> SchurExpansion:
+    """Schur coefficients of a symmetric homogeneous polynomial of the degree.
+
+    `coefficient(mu)` is a_mu, the coefficient of x^mu, for each partition
+    mu of the degree. a_mu = sum over lam of c_lam * K_{lam,mu}, and the
+    Kostka matrix is unitriangular in descending lexicographic order, so
+    the c_mu are solved one by one, exactly in Python ints.
+    """
+    terms = {}
+    for mu in partitions_of_size(degree):
+        c = coefficient(mu) - sum(d * _kostka(lam.parts, mu.parts) for lam, d in terms.items())
+        if c:
+            terms[mu] = c
+    return SchurExpansion(degree, terms)
 
 
 def schur_decompose(f: MultivariatePolynomial) -> SchurExpansion:
     """Write a symmetric homogeneous polynomial as a Schur combination.
 
-    A symmetric polynomial is fixed by its coefficients a_mu at partition
-    exponents, and a_mu = sum over lam of c_lam * K_{lam,mu}. The Kostka
-    matrix is unitriangular in descending lexicographic order, so the
-    Schur coefficients c_mu are solved one by one, exactly in Python ints.
+    A symmetric polynomial is fixed by its coefficients at partition
+    exponents, which go through the Kostka solve.
     """
     if f.is_zero():
         return SchurExpansion(0, {})
@@ -352,13 +389,7 @@ def schur_decompose(f: MultivariatePolynomial) -> SchurExpansion:
     if f.n < degree:
         raise TooFewVariables(f"{f.n} variables < degree {degree}")
     _check_symmetric(f)
-    terms = {}
-    for mu in partitions_of_size(degree):
-        c = f.coefficient(mu.parts + (0,) * (f.n - len(mu)))
-        c -= sum(d * _kostka(lam.parts, mu.parts) for lam, d in terms.items())
-        if c:
-            terms[mu] = c
-    return SchurExpansion(degree, terms)
+    return _solve_kostka(degree, lambda mu: f.coefficient(mu.parts + (0,) * (f.n - len(mu))))
 
 
 def newton_check(m: int, n: int) -> bool:
@@ -370,12 +401,60 @@ def newton_check(m: int, n: int) -> bool:
     return lhs == rhs
 
 
+def _pleth_coefficient(nu: tuple, r: int, m: int, mu: tuple) -> int:
+    """Coefficient of x^mu in s_nu(x) * h_m(x^r).
+
+    x^(r*gamma) runs over the monomials of h_m(x^r), gamma a composition of
+    m, and the coefficient of x^(mu - r*gamma) in s_nu is the Kostka number
+    of its sorted exponents. A part of mu - r*gamma above nu_1 makes that
+    number vanish, which sets the least gamma_i of each part; only parts
+    left at r or more have a further choice.
+    """
+    top = nu[0] if nu else 0
+    left = m
+    fixed, free = [], []
+    for p in mu:
+        g = max(0, -(-(p - top) // r))
+        if p < r * g:
+            return 0
+        left -= g
+        (free if p - r * g >= r else fixed).append(p - r * g)
+    if left < 0:
+        return 0
+    total = 0
+
+    def walk(i: int, left: int):
+        nonlocal total
+        if left == 0:
+            parts = sorted(fixed + free, reverse=True)
+            total += _kostka(nu, tuple(parts[: len(parts) - parts.count(0)]))
+            return
+        if i == len(free):
+            return
+        p = free[i]
+        for g in range(min(left, p // r) + 1):
+            free[i] = p - r * g
+            walk(i + 1, left - g)
+        free[i] = p
+
+    walk(0, left)
+    return total
+
+
 def oracle_plethystic_mn(nu: Partition, r: int, m: int, n: int | None = None):
-    """Ground truth for plethystic_mn by direct polynomial computation."""
+    """Ground truth for plethystic_mn, by symmetric polynomial coefficients.
+
+    The coefficient of x^mu in s_nu * (p_r o h_m), for each partition mu of
+    the degree, is a sum of Kostka numbers (`_pleth_coefficient`); the
+    Kostka solve turns these into Schur coefficients. No polynomial is
+    built, so the result is exact at every degree. n only has to be at
+    least the degree, where n variables lose no Schur function.
+    """
+    if r < 1:
+        raise ValueError(f"power {r} must be >= 1")
+    if m < 0:
+        raise ValueError(f"degree {m} must be >= 0")
     degree = r * m + nu.size()
-    if n is None:
-        n = max(degree, 1)
-    if n < degree:
+    if n is not None and n < degree:
         raise TooFewVariables(f"{n} variables < degree {degree}")
-    f = poly_schur(nu, n) * pleth_pr(poly_h(m, n), r)
-    return schur_decompose(f)
+    return _solve_kostka(degree, lambda mu: _pleth_coefficient(nu.parts, r, m, mu.parts))

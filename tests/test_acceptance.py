@@ -62,6 +62,7 @@ LABELS = {
     8: "strip sign products match bead inversion parity on 1000 random chains",
     9: "Newton identity for complete and power sums, m<=6 in 8 variables",
     10: "single-factor plethystic expansion reduces to the classical rule",
+    11: "plethystic expansions equal the oracle, |nu|<=6, r<=4, m<=5, degree<=18",
 }
 
 
@@ -280,3 +281,18 @@ def test_10_single_factor_reduces_to_classical_rule():
     for nu in partitions_up_to(6):
         for r in (1, 2, 3, 4):
             assert plethystic_mn(nu, r, 1) == mn_multiply(nu, r), (nu, r)
+
+
+@acceptance(11)
+def test_11_plethystic_expansion_equals_oracle_to_degree_18():
+    cases = 0
+    for nu in partitions_up_to(6):
+        for r in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4, 5):
+                if r * m + nu.size() > 18:
+                    continue
+                assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (
+                    nu, r, m,
+                )
+                cases += 1
+    assert cases == 521

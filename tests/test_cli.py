@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import subprocess
 import sys
@@ -201,14 +202,26 @@ def test_verify_classical_row_only(capsys):
     assert "PASS" in out
 
 
-def test_verify_parallel_jobs(capsys):
+def test_verify_default_sweep():
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run_verify(cli.VerifyConfig(), out, err) == 0
+    assert out.getvalue().splitlines() == [
+        "expansion vs polynomial oracle: 103 cases",
+        "sign recursion: 1440 cases",
+        "PASS: all identities hold in the swept range",
+    ]
+
+
+def test_verify_past_degree_15(capsys):
+    # degree 16 is past what the dense ring's packed exponent fields hold
     code, out, _ = run_cli(
         capsys,
-        ["verify", "--max-nu-size", "1", "--r-range", "1..1", "--m-range", "1..2",
-         "--max-degree", "4", "--jobs", "2"],
+        ["verify", "--max-nu-size", "0", "--r-range", "2..2", "--m-range", "8..8",
+         "--max-degree", "16"],
     )
     assert code == 0
-    assert "PASS" in out
+    assert "expansion vs polynomial oracle: 1 cases" in out
+    assert "sign recursion: 231 cases" in out
 
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
@@ -221,28 +234,6 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL: 1 mismatches; first: boom" in out
-
-
-def test_verify_env_var_sets_default_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("PLETHABACUS_JOBS", "3")
-    assert cli._default_jobs() == 3
-    monkeypatch.delenv("PLETHABACUS_JOBS")
-    assert cli._default_jobs() == 1
-
-
-@pytest.mark.parametrize("value", ["many", "", "0", "-2"])
-def test_verify_rejects_bad_jobs_env_var(capsys, monkeypatch, value):
-    monkeypatch.setenv("PLETHABACUS_JOBS", value)
-    args = ["verify", "--max-nu-size", "0", "--r-range", "1..1", "--m-range", "1..1",
-            "--max-degree", "1"]
-    code, out, err = run_cli(capsys, args)
-    assert code == 2
-    assert out == ""
-    assert "PLETHABACUS_JOBS" in err
-    # an explicit --jobs does not read the variable
-    code, out, _ = run_cli(capsys, args + ["--jobs", "1"])
-    assert code == 0
-    assert "PASS" in out
 
 
 @pytest.mark.parametrize(
@@ -260,7 +251,7 @@ def test_verify_rejects_bad_jobs_env_var(capsys, monkeypatch, value):
         ["abacus", "--lambda", "1", "--runners", "0"],
         ["verify", "--r-range", "2..1"],
         ["verify", "--r-range", "1-2"],
-        ["verify", "--jobs", "0"],
+        ["verify", "--max-nu-size", "-1"],
         ["nosuchcommand"],
     ],
 )

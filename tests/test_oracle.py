@@ -200,6 +200,14 @@ def test_schur_decompose_errors():
                 3, {(1, 1, 0): 1, (1, 0, 1): 2, (0, 1, 1): 1}
             )
         )
+    # fixed by the cyclic shift, not by swapping x1 and x2
+    with pytest.raises(NotSymmetric):
+        schur_decompose(
+            MultivariatePolynomial.from_terms(3, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1})
+        )
+    # fixed by swapping x1 and x2, not by the cyclic shift
+    with pytest.raises(NotSymmetric):
+        schur_decompose(MultivariatePolynomial.from_terms(3, {(1, 1, 0): 1}))
 
 
 def test_mn_multiply_agrees_with_polynomial_oracle():
@@ -230,6 +238,24 @@ def test_oracle_plethystic_mn_examples():
     }
     with pytest.raises(TooFewVariables):
         oracle_plethystic_mn(make_partition([]), 2, 2, 3)
+    with pytest.raises(ValueError):
+        oracle_plethystic_mn(make_partition([1]), 0, 1)
+    with pytest.raises(ValueError):
+        oracle_plethystic_mn(make_partition([1]), 2, -1)
+
+
+def test_oracle_plethystic_mn_equals_dense_product():
+    cases = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3):
+            for m in (1, 2, 3):
+                d = nu.size() + r * m
+                if d > 10:
+                    continue
+                want = schur_decompose(poly_schur(nu, d) * pleth_pr(poly_h(m, d), r))
+                assert oracle_plethystic_mn(nu, r, m) == want, (nu, r, m)
+                cases += 1
+    assert cases == 98
 
 
 def test_multiplication_overflow_is_detected():
