@@ -3,9 +3,7 @@
 The package has two independent halves that check each other: the
 combinatorial side (partitions, abacus, strips, symfunc) computes signed
 expansions through border-strip removals, while oracle recomputes the
-same expansions from the coefficients of s_nu * (p_r o h_m) at partition
-exponents, each a sum of Kostka numbers, through a unitriangular Kostka
-solve.
+same expansions with one bialternant determinant per Schur function.
 """
 
 from .abacus import (

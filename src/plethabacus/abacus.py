@@ -11,6 +11,7 @@ between the two positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition
@@ -51,7 +52,10 @@ class Abacus:
     bead_positions: frozenset[int]
 
     def __post_init__(self):
-        beads = frozenset(int(p) for p in self.bead_positions)
+        try:
+            beads = frozenset(map(index, self.bead_positions))
+        except TypeError as e:
+            raise ValueError(f"bead positions must be integers: {e}") from None
         object.__setattr__(self, "bead_positions", beads)
         if any(p < 0 for p in beads):
             raise ValueError(f"bead positions must be non-negative: {sorted(beads)}")

@@ -1,10 +1,8 @@
 """Brute-force symmetric polynomial arithmetic, independent of the abacus.
 
-A symmetric homogeneous polynomial is fixed by its coefficients at
-partition exponents, and one unitriangular solve against Kostka numbers
-turns these into Schur coefficients, exactly in Python ints.
-oracle_plethystic_mn gets the coefficients of s_nu * (p_r o h_m) as sums
-of Kostka numbers and builds no polynomial, so it is exact at any degree.
+oracle_plethystic_mn reads each Schur coefficient of s_nu * (p_r o h_m)
+as one determinant (the bialternant formula), in Python ints, so it is
+exact at any degree and builds no polynomial.
 
 The dense ring behind schur_decompose, poly_schur and newton_check stores
 polynomials in n variables as packed exponent codes: each exponent sits
@@ -12,7 +10,9 @@ in a fixed bit field of one int64 with variable 1 in the most
 significant field, so numeric order on codes equals lexicographic order
 on exponent vectors. Its arithmetic is exact int64; any operation whose
 intermediates could exceed 63 bits raises OverflowError instead of
-wrapping.
+wrapping. A symmetric homogeneous polynomial is fixed by its
+coefficients at partition exponents, and one unitriangular solve against
+Kostka numbers turns these into Schur coefficients.
 """
 
 from __future__ import annotations
@@ -401,60 +401,51 @@ def newton_check(m: int, n: int) -> bool:
     return lhs == rhs
 
 
-def _pleth_coefficient(nu: tuple, r: int, m: int, mu: tuple) -> int:
-    """Coefficient of x^mu in s_nu(x) * h_m(x^r).
+def _det(a: list[list[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination, in place.
 
-    x^(r*gamma) runs over the monomials of h_m(x^r), gamma a composition of
-    m, and the coefficient of x^(mu - r*gamma) in s_nu is the Kostka number
-    of its sorted exponents. A part of mu - r*gamma above nu_1 makes that
-    number vanish, which sets the least gamma_i of each part; only parts
-    left at r or more have a further choice.
+    Every division by the previous pivot is exact (Sylvester's identity).
+    A zero pivot is swapped with a lower row that is nonzero in its
+    column, which flips the sign; without one the determinant vanishes.
     """
-    top = nu[0] if nu else 0
-    left = m
-    fixed, free = [], []
-    for p in mu:
-        g = max(0, -(-(p - top) // r))
-        if p < r * g:
-            return 0
-        left -= g
-        (free if p - r * g >= r else fixed).append(p - r * g)
-    if left < 0:
-        return 0
-    total = 0
-
-    def walk(i: int, left: int):
-        nonlocal total
-        if left == 0:
-            parts = sorted(fixed + free, reverse=True)
-            total += _kostka(nu, tuple(parts[: len(parts) - parts.count(0)]))
-            return
-        if i == len(free):
-            return
-        p = free[i]
-        for g in range(min(left, p // r) + 1):
-            free[i] = p - r * g
-            walk(i + 1, left - g)
-        free[i] = p
-
-    walk(0, left)
-    return total
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        pivot, row = a[k][k], a[k]
+        for below in a[k + 1 :]:
+            f = below[k]
+            for j in range(k + 1, n):
+                below[j] = (below[j] * pivot - f * row[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
-def oracle_plethystic_mn(nu: Partition, r: int, m: int, n: int | None = None):
-    """Ground truth for plethystic_mn, by symmetric polynomial coefficients.
+def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
+    """Ground truth for plethystic_mn, one determinant per shape.
 
-    The coefficient of x^mu in s_nu * (p_r o h_m), for each partition mu of
-    the degree, is a sum of Kostka numbers (`_pleth_coefficient`); the
-    Kostka solve turns these into Schur coefficients. No polynomial is
-    built, so the result is exact at every degree. n only has to be at
-    least the degree, where n variables lose no Schur function.
+    By the bialternant formula a_delta * s_nu = a_{nu + delta}, the
+    coefficient of s_lam in s_nu * h_m(x^r) is the coefficient of
+    x^{lam + delta} in a_{nu + delta} * h_m(x^r): the determinant of the
+    0/1 matrix whose (i, j) entry is 1 when (lam_i - i) - (nu_j - j) is a
+    nonnegative multiple of r, for i, j up to max(len(lam), len(nu)).
+    This is the alternating sum whose cancellations the combinatorial
+    rule explains. It is exact in Python ints at every degree.
     """
     if r < 1:
         raise ValueError(f"power {r} must be >= 1")
     if m < 0:
         raise ValueError(f"degree {m} must be >= 0")
     degree = r * m + nu.size()
-    if n is not None and n < degree:
-        raise TooFewVariables(f"{n} variables < degree {degree}")
-    return _solve_kostka(degree, lambda mu: _pleth_coefficient(nu.parts, r, m, mu.parts))
+    terms = {}
+    for lam in partitions_of_size(degree):
+        rows = max(len(lam), len(nu))
+        lam_d = [p - i for i, p in enumerate(lam.parts + (0,) * (rows - len(lam)))]
+        nu_d = [p - j for j, p in enumerate(nu.parts + (0,) * (rows - len(nu)))]
+        terms[lam] = _det([[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d])
+    return SchurExpansion(degree, terms)  # drops the zero determinants

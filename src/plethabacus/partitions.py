@@ -8,6 +8,7 @@ parts as zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -17,6 +18,14 @@ class InvalidPartition(ValueError):
 
 class NotContained(ValueError):
     """Inner shape of a skew pair is not contained in the outer shape."""
+
+
+def _integers(parts: Iterable[int]) -> list[int]:
+    """The parts as ints; a float or a string is rejected, not truncated."""
+    try:
+        return list(map(index, parts))
+    except TypeError as e:
+        raise InvalidPartition(f"parts must be integers: {e}") from None
 
 
 class Box(NamedTuple):
@@ -31,7 +40,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(a) for a in self.parts)
+        parts = tuple(_integers(self.parts))
         object.__setattr__(self, "parts", parts)
         if any(a < 1 for a in parts):
             raise InvalidPartition(f"parts must be positive: {parts}")
@@ -74,7 +83,7 @@ class Partition:
 
 def make_partition(parts: Iterable[int]) -> Partition:
     """Build a Partition, stripping trailing zeros; rejects bad input."""
-    seq = [int(a) for a in parts]
+    seq = _integers(parts)
     if any(a < 0 for a in seq):
         raise InvalidPartition(f"negative part in {seq}")
     if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):

@@ -389,27 +389,6 @@ class PairingWitness:
         }
 
 
-def _brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int):
-    """All (bead, gap) swaps on runner t after which the runner is decomposable.
-
-    The search behind PairingWitness.P; the tests check the closed form
-    pairing_witness uses against it.
-    """
-    src, dst = _runner_move_data(a, c, r, t)
-    beads = set(src)
-    top = max(src + dst, default=t) + r
-    pairs = set()
-    for eps in src:
-        for gamma in range(t, top + 1, r):
-            if gamma in beads:
-                continue
-            swapped = (beads - {eps}) | {gamma}
-            all_swapped = (a.bead_positions - {eps}) | {gamma}
-            if _is_decomposable_runner(swapped, all_swapped, dst, r):
-                pairs.add((eps, gamma))
-    return frozenset(pairs)
-
-
 def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     """Witnesses of pairwise cancellation, one per admissible gap gamma.
 

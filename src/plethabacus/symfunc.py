@@ -8,23 +8,21 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from .abacus import _partition_of_beads, abacus_of, runner_beads
+from .abacus import _beads_of, _partition_of_beads
 from .partitions import Partition, SchurExpansion
 from .strips import _greedy_heights
 
 
 def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
     """All (lam, height) with lam/nu a border strip of length s, via down moves."""
-    b = len(nu) + s
-    a = abacus_of(nu, b)
+    beads = _beads_of(nu.parts, len(nu) + s)
+    occupied = set(beads)
     out = []
-    for beta in a.bead_positions:
-        if a.has_bead(beta + s):
+    for beta in beads:
+        if beta + s in occupied:
             continue
-        lam = _partition_of_beads(
-            sorted((a.bead_positions - {beta}) | {beta + s}, reverse=True)
-        )
-        height = sum(1 for p in a.bead_positions if beta < p < beta + s)
+        lam = _partition_of_beads(sorted((occupied - {beta}) | {beta + s}, reverse=True))
+        height = sum(1 for p in beads if beta < p < beta + s)
         out.append((lam, height))
     return out
 
@@ -77,12 +75,10 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
         raise ValueError(f"need r >= 1 and m >= 0, got r={r}, m={m}")
     if m == 0:
         return SchurExpansion(nu.size(), {nu: 1})
-    b = len(nu) + r * m
-    c = abacus_of(nu, b)
-    nu_beads = sorted(c.bead_positions, reverse=True)
+    nu_beads = _beads_of(nu.parts, len(nu) + r * m)
     per_runner = []
     for t in range(r):
-        steps = [(p - t) // r for p in runner_beads(c, r, t)]
+        steps = [(p - t) // r for p in reversed(nu_beads) if p % r == t]
         per_runner.append([_runner_raises(steps, j) for j in range(m + 1)])
 
     terms: dict[Partition, int] = {}

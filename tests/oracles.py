@@ -1,20 +1,26 @@
 """Independent brute-force helpers used only by the tests.
 
-Everything here recomputes combinatorial facts from first principles on
+Most helpers here recompute combinatorial facts from first principles on
 raw box sets (connectivity walks, tableau fillings, exhaustive recursion)
 so that library results can be checked against a second implementation
-that shares no code with the abacus machinery.
+that shares no code with the abacus machinery. The last two are slower
+routes to library results, kept as references: an exhaustive search for
+the type II pair set, and the oracle's expansion through Kostka numbers.
 """
 
 from collections import Counter
 
+from plethabacus.abacus import Abacus, runner_beads
+from plethabacus.oracle import _kostka, _solve_kostka
 from plethabacus.partitions import (
     Partition,
+    SchurExpansion,
     make_partition,
     partitions_of_size,
     partitions_of_size_containing,
     subpartitions_of_size,
 )
+from plethabacus.strips import runner_is_decomposable
 
 
 def skew_boxes(outer: Partition, inner: Partition) -> set:
@@ -160,3 +166,72 @@ def young_diagram_rows(boxes: set) -> list:
     if any(a < b for a, b in zip(lengths, lengths[1:])):
         return None
     return lengths
+
+
+def brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int) -> frozenset:
+    """All (bead, gap) swaps on runner t after which the runner is decomposable.
+
+    The search behind PairingWitness.P, against which the closed form that
+    pairing_witness uses is checked.
+    """
+    src = runner_beads(a, r, t)
+    top = max(src + runner_beads(c, r, t), default=t) + r
+    pairs = set()
+    for eps in src:
+        for gamma in range(t, top + 1, r):
+            if gamma in a.bead_positions:
+                continue
+            swapped = Abacus(a.bead_count, (a.bead_positions - {eps}) | {gamma})
+            if runner_is_decomposable(swapped, c, r, t):
+                pairs.add((eps, gamma))
+    return frozenset(pairs)
+
+
+def pleth_coefficient(nu: tuple, r: int, m: int, mu: tuple) -> int:
+    """Coefficient of x^mu in s_nu(x) * h_m(x^r).
+
+    x^(r*gamma) runs over the monomials of h_m(x^r), gamma a composition of
+    m, and the coefficient of x^(mu - r*gamma) in s_nu is the Kostka number
+    of its sorted exponents. A part of mu - r*gamma above nu_1 makes that
+    number vanish, which sets the least gamma_i of each part; only parts
+    left at r or more have a further choice.
+    """
+    top = nu[0] if nu else 0
+    left = m
+    fixed, free = [], []
+    for p in mu:
+        g = max(0, -(-(p - top) // r))
+        if p < r * g:
+            return 0
+        left -= g
+        (free if p - r * g >= r else fixed).append(p - r * g)
+    if left < 0:
+        return 0
+    total = 0
+
+    def walk(i: int, left: int):
+        nonlocal total
+        if left == 0:
+            parts = sorted(fixed + free, reverse=True)
+            total += _kostka(nu, tuple(parts[: len(parts) - parts.count(0)]))
+            return
+        if i == len(free):
+            return
+        p = free[i]
+        for g in range(min(left, p // r) + 1):
+            free[i] = p - r * g
+            walk(i + 1, left - g)
+        free[i] = p
+
+    walk(0, left)
+    return total
+
+
+def kostka_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
+    """s_nu * (p_r o h_m) from its coefficients at partition exponents.
+
+    Each coefficient is a sum of Kostka numbers (pleth_coefficient), and the
+    library's unitriangular Kostka solve turns them into Schur coefficients.
+    """
+    degree = r * m + nu.size()
+    return _solve_kostka(degree, lambda mu: pleth_coefficient(nu.parts, r, m, mu.parts))

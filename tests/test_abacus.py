@@ -70,6 +70,8 @@ def test_abacus_rejects_inconsistent_data():
         Abacus(2, frozenset({1}))
     with pytest.raises(ValueError):
         Abacus(1, frozenset({-1}))
+    with pytest.raises(ValueError):
+        Abacus(1, frozenset({2.5}))
 
 
 def test_with_bead_count_shifts_and_prepends():

@@ -63,6 +63,7 @@ LABELS = {
     9: "Newton identity for complete and power sums, m<=6 in 8 variables",
     10: "single-factor plethystic expansion reduces to the classical rule",
     11: "plethystic expansions equal the oracle, |nu|<=6, r<=4, m<=5, degree<=18",
+    12: "plethystic expansions equal the oracle, |nu|<=2, r in {3,5}, 24<degree<=30",
 }
 
 
@@ -296,3 +297,18 @@ def test_11_plethystic_expansion_equals_oracle_to_degree_18():
                 )
                 cases += 1
     assert cases == 521
+
+
+@acceptance(12)
+def test_12_plethystic_expansion_equals_oracle_to_degree_30():
+    cases = [
+        (nu, r, m)
+        for nu in partitions_up_to(2)
+        for r in (3, 5)
+        for m in range(1, 11)
+        if 24 < r * m + nu.size() <= 30
+    ]
+    assert len(cases) == 13
+    cases += [(make_partition([3, 2, 1]), 2, 10), (make_partition([4, 3, 2, 1]), 2, 10)]
+    for nu, r, m in cases:
+        assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (nu, r, m)

@@ -1,5 +1,7 @@
 import ast
+import itertools
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import plethabacus.oracle
-from oracles import ssyt_monomials
+from oracles import kostka_plethystic_mn, ssyt_monomials
 from plethabacus.oracle import (
     MultivariatePolynomial,
     NotSymmetric,
@@ -20,6 +22,7 @@ from plethabacus.oracle import (
     poly_schur,
     schur_decompose,
 )
+from plethabacus.oracle import _det
 from plethabacus.partitions import make_partition, partitions_up_to
 from plethabacus.symfunc import SchurExpansion, mn_multiply, plethystic_mn
 
@@ -183,8 +186,6 @@ def test_schur_decompose_stable_in_variable_count():
     f6 = poly_schur(make_partition([2, 1]), 6) * poly_p(3, 6)
     f8 = poly_schur(make_partition([2, 1]), 8) * poly_p(3, 8)
     assert schur_decompose(f6) == schur_decompose(f8)
-    nu = make_partition([2])
-    assert oracle_plethystic_mn(nu, 2, 2, 6) == oracle_plethystic_mn(nu, 2, 2, 8)
 
 
 def test_schur_decompose_errors():
@@ -223,21 +224,32 @@ def test_newton_identity_small():
         assert newton_check(m, 6)
 
 
+def test_bareiss_determinant_equals_leibniz_sum():
+    # zeros force row swaps; entries beyond 0/1 make the exact divisions matter
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        a = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        want = 0
+        for w in itertools.permutations(range(n)):
+            inversions = sum(w[i] > w[j] for i in range(n) for j in range(i + 1, n))
+            want += (-1) ** inversions * math.prod(a[i][w[i]] for i in range(n))
+        assert _det([row[:] for row in a]) == want, a
+
+
 def test_oracle_plethystic_mn_examples():
-    assert expansion_dict(oracle_plethystic_mn(make_partition([]), 1, 1, 2)) == {
+    assert expansion_dict(oracle_plethystic_mn(make_partition([]), 1, 1)) == {
         (1,): 1
     }
-    assert expansion_dict(oracle_plethystic_mn(make_partition([]), 2, 2, 4)) == {
+    assert expansion_dict(oracle_plethystic_mn(make_partition([]), 2, 2)) == {
         (4,): 1,
         (3, 1): -1,
         (2, 2): 1,
     }
-    assert expansion_dict(oracle_plethystic_mn(make_partition([1]), 2, 1, 4)) == {
+    assert expansion_dict(oracle_plethystic_mn(make_partition([1]), 2, 1)) == {
         (3,): 1,
         (1, 1, 1): -1,
     }
-    with pytest.raises(TooFewVariables):
-        oracle_plethystic_mn(make_partition([]), 2, 2, 3)
     with pytest.raises(ValueError):
         oracle_plethystic_mn(make_partition([1]), 0, 1)
     with pytest.raises(ValueError):
@@ -256,6 +268,22 @@ def test_oracle_plethystic_mn_equals_dense_product():
                 assert oracle_plethystic_mn(nu, r, m) == want, (nu, r, m)
                 cases += 1
     assert cases == 98
+
+
+def test_oracle_equals_kostka_route_to_degree_12():
+    # acceptance 4's cases; the determinants read no Kostka number
+    cases = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3):
+            for m in (1, 2, 3):
+                if r * m + nu.size() > 12:
+                    continue
+                want = kostka_plethystic_mn(nu, r, m)
+                cached = plethabacus.oracle._kostka.cache_info().currsize
+                assert oracle_plethystic_mn(nu, r, m) == want, (nu, r, m)
+                assert plethabacus.oracle._kostka.cache_info().currsize == cached
+                cases += 1
+    assert cases == 103
 
 
 def test_multiplication_overflow_is_detected():
@@ -281,7 +309,9 @@ def test_pleth_pr_overflow_is_detected():
 def test_oracle_agrees_with_plethystic_mn_at_degrees_13_to_15(nu, r, m):
     nu = make_partition(nu)
     assert 13 <= nu.size() + r * m <= 15
-    assert oracle_plethystic_mn(nu, r, m) == plethystic_mn(nu, r, m)
+    want = plethystic_mn(nu, r, m)
+    assert oracle_plethystic_mn(nu, r, m) == want
+    assert kostka_plethystic_mn(nu, r, m) == want
 
 
 def test_oracle_imports_no_combinatorial_module():

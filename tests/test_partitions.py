@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from plethabacus.partitions import (
     Box,
     InvalidPartition,
     NotContained,
+    Partition,
     make_partition,
     make_skew,
     minimal_distinct_row,
@@ -43,6 +45,12 @@ def test_make_partition_rejects_bad_input():
         make_partition([3, -1])
     with pytest.raises(InvalidPartition):
         make_partition([1, 0, 1])
+    with pytest.raises(InvalidPartition):
+        make_partition([2.7, 1])
+    with pytest.raises(InvalidPartition):
+        Partition((2.5,))
+    # numpy integers are integers, not truncated floats
+    assert make_partition(np.array([2, 1, 0])) == Partition((np.int64(2), 1))
 
 
 def test_part_is_one_based_and_zero_padded():

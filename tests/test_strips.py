@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (
+    brute_force_pair_set,
     is_ribbon,
     removal_sign_set,
     ribbon_height,
@@ -36,7 +37,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
-from plethabacus.strips import _brute_force_pair_set, _greedy_heights
+from plethabacus.strips import _greedy_heights
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -368,7 +369,7 @@ def test_pairing_witness_summands_cancel():
             continue
         if profile.count(RunnerType.II) != 1 or RunnerType.III in profile:
             continue
-        pair_set = _brute_force_pair_set(a, c, r, profile.index(RunnerType.II))
+        pair_set = brute_force_pair_set(a, c, r, profile.index(RunnerType.II))
         for w in pairing_witness(a, c, r):
             assert w.P == pair_set, (lam, nu, r)
             assert len(w.J) % 2 != len(w.J_star) % 2
