@@ -82,12 +82,10 @@ def _beads_of(parts: tuple[int, ...], bead_count: int) -> list[int]:
 
 def _partition_of_beads(beads: Sequence[int]) -> Partition:
     """Partition encoded by descending bead positions; inverse of _beads_of."""
-    parts = []
-    for i, p in enumerate(beads, 1 - len(beads)):
-        if p + i == 0:
-            break  # parts weakly decrease, so every later one is zero too
-        parts.append(p + i)
-    return Partition(tuple(parts))
+    n = k = len(beads)
+    while k and beads[k - 1] == n - k:
+        k -= 1  # zero parts: beads packed at positions 0, 1, ... at the bottom
+    return Partition._trusted(tuple([beads[i] + i + 1 - n for i in range(k)]))
 
 
 def normalized_abacus(shape: Partition) -> Abacus:

@@ -426,16 +426,32 @@ def _det(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def _bialternant_matrix(lam: Partition, nu: Partition, r: int) -> list[list[int]] | None:
+    """The 0/1 matrix whose determinant is the coefficient of s_lam, or None if singular.
+
+    Entry (i, j) is 1 when (lam_i - i) - (nu_j - j) is a nonnegative
+    multiple of r, for i, j up to max(len(lam), len(nu)). Nonzero entries
+    only join a row and a column of one residue class mod r, so when the
+    classes hold different numbers of rows and columns some block is not
+    square and the matrix is singular: None says so without building it.
+    """
+    rows = max(len(lam), len(nu))
+    lam_d = [p - i for i, p in enumerate(lam.parts + (0,) * (rows - len(lam)))]
+    nu_d = [p - j for j, p in enumerate(nu.parts + (0,) * (rows - len(nu)))]
+    if sorted(d % r for d in lam_d) != sorted(e % r for e in nu_d):
+        return None
+    return [[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d]
+
+
 def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """Ground truth for plethystic_mn, one determinant per shape.
 
     By the bialternant formula a_delta * s_nu = a_{nu + delta}, the
     coefficient of s_lam in s_nu * h_m(x^r) is the coefficient of
-    x^{lam + delta} in a_{nu + delta} * h_m(x^r): the determinant of the
-    0/1 matrix whose (i, j) entry is 1 when (lam_i - i) - (nu_j - j) is a
-    nonnegative multiple of r, for i, j up to max(len(lam), len(nu)).
-    This is the alternating sum whose cancellations the combinatorial
-    rule explains. It is exact in Python ints at every degree.
+    x^{lam + delta} in a_{nu + delta} * h_m(x^r): the determinant of
+    _bialternant_matrix(lam, nu, r). This is the alternating sum whose
+    cancellations the combinatorial rule explains. It is exact in Python
+    ints at every degree.
     """
     if r < 1:
         raise ValueError(f"power {r} must be >= 1")
@@ -444,8 +460,7 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     degree = r * m + nu.size()
     terms = {}
     for lam in partitions_of_size(degree):
-        rows = max(len(lam), len(nu))
-        lam_d = [p - i for i, p in enumerate(lam.parts + (0,) * (rows - len(lam)))]
-        nu_d = [p - j for j, p in enumerate(nu.parts + (0,) * (rows - len(nu)))]
-        terms[lam] = _det([[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d])
+        matrix = _bialternant_matrix(lam, nu, r)
+        if matrix is not None:
+            terms[lam] = _det(matrix)
     return SchurExpansion(degree, terms)  # drops the zero determinants

@@ -47,6 +47,18 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise InvalidPartition(f"parts must be weakly decreasing: {parts}")
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A Partition of parts valid by construction, with no conversion or check.
+
+        Only for callers that build a tuple of positive weakly decreasing
+        ints themselves (bead lists, the enumerator); input from outside
+        goes through Partition(...) or make_partition.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        return p
+
     def __len__(self):
         return len(self.parts)
 
@@ -198,7 +210,7 @@ def partitions_of_size(n: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
     for parts in gen(n, n):
-        yield Partition(parts)
+        yield Partition._trusted(parts)
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:

@@ -39,29 +39,29 @@ def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
     return SchurExpansion(nu.size() + r, terms)
 
 
-def _runner_raises(steps: list[int], total: int) -> list[list[int]]:
-    """Distributions of `total` downward runner steps over beads at `steps`.
+def _runner_raises(beads: list[int], r: int, m: int) -> list[list[list[int]]]:
+    """Raises of one runner's ascending bead positions, bucketed by total 0..m.
 
-    Each bead may move down any amount that keeps it strictly above the
-    next bead's starting point; the last bead is unbounded. These are
-    exactly the raises of one runner that stay r-decomposable.
+    Each bead may move down any number of runner steps (r positions each)
+    that keeps it strictly above the next bead's starting point; the last
+    bead is unbounded. Bucket j holds, as new bead positions, every raise
+    of j steps in all: exactly the raises of one runner that stay
+    r-decomposable. One depth-first pass fills every bucket.
     """
-    caps = [steps[j + 1] - steps[j] - 1 for j in range(len(steps) - 1)]
-    caps.append(total)
-    out = []
+    caps = [(b - a) // r - 1 for a, b in zip(beads, beads[1:])] + [m]
+    buckets = [[] for _ in range(m + 1)]
 
-    def go(j: int, left: int, acc: list[int]):
-        if j == len(steps):
-            if left == 0:
-                out.append(acc.copy())
+    def go(j: int, used: int, acc: list[int]):
+        if j == len(beads):
+            buckets[used].append(acc.copy())
             return
-        for d in range(0, min(caps[j], left) + 1):
-            acc.append(steps[j] + d)
-            go(j + 1, left - d, acc)
+        for d in range(min(caps[j], m - used) + 1):
+            acc.append(beads[j] + r * d)
+            go(j + 1, used + d, acc)
             acc.pop()
 
-    go(0, total, [])
-    return out
+    go(0, 0, [])
+    return buckets
 
 
 def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
@@ -76,29 +76,32 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     if m == 0:
         return SchurExpansion(nu.size(), {nu: 1})
     nu_beads = _beads_of(nu.parts, len(nu) + r * m)
-    per_runner = []
-    for t in range(r):
-        steps = [(p - t) // r for p in reversed(nu_beads) if p % r == t]
-        per_runner.append([_runner_raises(steps, j) for j in range(m + 1)])
+    per_runner = [
+        _runner_raises([p for p in reversed(nu_beads) if p % r == t], r, m)
+        for t in range(r)
+    ]
 
     terms: dict[Partition, int] = {}
 
     def assemble(t: int, left: int, beads: list[int]):
-        for j in range(left + 1) if t < r - 1 else [left]:
-            for raised in per_runner[t][j]:
-                positions = beads + [t + r * e for e in raised]
-                if t < r - 1:
-                    assemble(t + 1, left - j, positions)
-                else:
-                    positions.sort(reverse=True)
-                    heights = _greedy_heights(positions, nu_beads, r)
-                    lam = _partition_of_beads(positions)
-                    if heights is None or lam in terms:
-                        raise AssertionError(
-                            f"candidate {lam} over {nu} with r={r}, m={m} "
-                            "is repeated or not r-decomposable"
-                        )
-                    terms[lam] = (-1) ** sum(heights)
+        if t < r - 1:
+            for j in range(left + 1):
+                for raised in per_runner[t][j]:
+                    assemble(t + 1, left - j, beads + raised)
+            return
+        for raised in per_runner[t][left]:
+            positions = beads + raised
+            positions.sort(reverse=True)
+            heights = _greedy_heights(positions, nu_beads, r)
+            lam = _partition_of_beads(positions)
+            count = len(terms)
+            if heights is not None:
+                terms[lam] = (-1) ** sum(heights)
+            if len(terms) == count:
+                raise AssertionError(
+                    f"candidate {lam} over {nu} with r={r}, m={m} "
+                    "is repeated or not r-decomposable"
+                )
 
     assemble(0, m, [])
     return SchurExpansion(nu.size() + r * m, terms)

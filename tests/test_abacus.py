@@ -25,6 +25,7 @@ from plethabacus.abacus import (
     swap_bead,
     with_bead_count,
 )
+from plethabacus.abacus import _beads_of, _partition_of_beads
 from plethabacus.partitions import make_partition, partitions_up_to
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
@@ -101,6 +102,16 @@ def test_roundtrip_all_small_shapes():
     for p in partitions_up_to(12):
         assert partition_of(normalized_abacus(p)) == p
         assert partition_of(abacus_of(p, len(p) + 3)) == p
+
+
+def test_partition_of_beads_inverts_beads_of():
+    # the decoder builds Partitions without checks; each must equal, and
+    # hash like, the validated partition at every bead count
+    for p in partitions_up_to(10):
+        want = make_partition(p.parts)
+        for b in range(len(p), len(p) + 6):
+            q = _partition_of_beads(_beads_of(p.parts, b))
+            assert q == want and hash(q) == hash(want), (p, b)
 
 
 @given(partition_strategy, st.integers(0, 4))

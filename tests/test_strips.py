@@ -452,6 +452,8 @@ def test_sign_recursion_holds_on_small_sweep():
             assert s.strip_sign == (-1) ** ribbon_height(lam, s.mu), (lam, nu, r, s.mu)
             dec = r_decompose(make_skew(s.mu, nu), r)
             assert s.tail_sign == (0 if dec is None else dec.sign), (lam, nu, r, s.mu)
+            checked = make_partition(s.mu.parts)  # mu is decoded from beads unchecked
+            assert checked == s.mu and hash(checked) == hash(s.mu), (lam, nu, r, s.mu)
             # the removal moves the bead of the strip's top row
             beta = lam.part(top) + b - top
             keys.append((beta % r, -beta, s.strip_length // r))

@@ -1,4 +1,7 @@
+import itertools
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -11,9 +14,11 @@ from plethabacus.partitions import (
     partitions_of_size_containing,
     partitions_up_to,
 )
+from plethabacus import symfunc
 from plethabacus.strips import r_decompose
 from plethabacus.symfunc import (
     SchurExpansion,
+    _runner_raises,
     mn_multiply,
     plethystic_mn,
     plethystic_mn_multi,
@@ -167,6 +172,69 @@ def test_plethystic_mn_matches_oracle_on_larger_inner_shapes():
                     r,
                     m,
                 )
+
+
+def test_expansion_terms_equal_validated_partitions():
+    # terms are built from bead lists without Partition's checks; each must
+    # equal, and hash like, the same parts sent through make_partition
+    terms = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3):
+            expansions = [mn_multiply(nu, r)]
+            expansions += [
+                plethystic_mn(nu, r, m) for m in (1, 2, 3) if nu.size() + r * m <= 12
+            ]
+            for e in expansions:
+                for lam in e.terms:
+                    checked = make_partition(lam.parts)
+                    assert checked == lam and hash(checked) == hash(lam), lam
+                    terms += 1
+    assert terms == 596
+
+
+def test_runner_raises_equal_brute_force():
+    # every order-preserving raise of up to 4 beads on one runner: bead j
+    # moves d_j steps down and stays strictly above bead j + 1's start
+    for r, t in ((1, 0), (3, 2)):
+        for k in range(5):
+            for steps in itertools.combinations(range(7), k):
+                want = [[] for _ in range(7)]
+                for d in itertools.product(range(7), repeat=k):
+                    new = [s + e for s, e in zip(steps, d)]
+                    if sum(d) <= 6 and all(a < b for a, b in zip(new, steps[1:])):
+                        want[sum(d)].append([t + r * e for e in new])
+                beads = [t + r * s for s in steps]
+                for m in (0, 1, 6):
+                    got = _runner_raises(beads, r, m)
+                    assert [sorted(b) for b in got] == want[: m + 1], (beads, r, m)
+
+
+def test_plethystic_mn_rejects_unsigned_and_repeated_candidates(monkeypatch):
+    nu = make_partition([1])
+    with monkeypatch.context() as patch:
+        patch.setattr(symfunc, "_greedy_heights", lambda *args: None)
+        with pytest.raises(AssertionError, match="not r-decomposable"):
+            plethystic_mn(nu, 2, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(symfunc, "_partition_of_beads", lambda beads: make_partition([5]))
+        with pytest.raises(AssertionError, match="repeated"):
+            plethystic_mn(nu, 2, 2)
+    assert len(plethystic_mn(nu, 2, 2).terms) > 1
+
+
+def test_plethystic_mn_check_survives_optimize_flag():
+    code = (
+        "import sys\n"
+        "from plethabacus import make_partition, symfunc\n"
+        "symfunc._greedy_heights = lambda *args: None\n"
+        "try:\n"
+        "    symfunc.plethystic_mn(make_partition([1]), 2, 2)\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised 1\n"
 
 
 def test_plethystic_mn_multi_single_factor():
