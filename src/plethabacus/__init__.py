@@ -4,6 +4,8 @@ The package has two independent halves that check each other: the
 combinatorial side (partitions, abacus, strips, symfunc) computes signed
 expansions through border-strip removals, while oracle recomputes the
 same expansions with one bialternant determinant per Schur function.
+Neither imports numpy: the dense polynomial ring (`ring`) is loaded on
+first access to one of its public names, such as schur_decompose.
 """
 
 from .abacus import (
@@ -29,18 +31,8 @@ from .abacus import (
     with_bead_count,
 )
 from .cli import VerifyConfig, main, run_verify
-from .oracle import (
-    MultivariatePolynomial,
-    NotSymmetric,
-    TooFewVariables,
-    newton_check,
-    oracle_plethystic_mn,
-    pleth_pr,
-    poly_h,
-    poly_p,
-    poly_schur,
-    schur_decompose,
-)
+from .oracle import RING_NAMES as _RING_NAMES
+from .oracle import oracle_plethystic_mn
 from .partitions import (
     Box,
     InvalidPartition,
@@ -88,3 +80,15 @@ from .symfunc import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _RING_NAMES:
+        from . import ring
+
+        return getattr(ring, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_RING_NAMES})

@@ -80,6 +80,11 @@ def _format_partition(p: Partition) -> str:
     return "(" + ",".join(str(x) for x in p.parts) + ")"
 
 
+def _partition_arg(parts) -> str:
+    """A partition as the command line reads it, `-` when empty."""
+    return ",".join(map(str, parts)) or "-"
+
+
 def cmd_expand(args) -> int:
     if args.ms is not None:
         expansion = plethystic_mn_multi(args.nu, args.r, args.ms)
@@ -156,7 +161,10 @@ def _expansion_case(case) -> tuple[bool, str]:
     truth = oracle_plethystic_mn(nu, r, m)
     if ours == truth:
         return True, ""
-    return False, f"expansion mismatch at nu={list(nu_parts)} r={r} m={m}"
+    return False, (
+        f"expansion mismatch at nu={list(nu_parts)} r={r} m={m};"
+        f" repro: plethabacus expand --nu {_partition_arg(nu_parts)} --r {r} --m {m}"
+    )
 
 
 def _recursion_case(case) -> tuple[bool, str]:
@@ -166,7 +174,9 @@ def _recursion_case(case) -> tuple[bool, str]:
         return True, ""
     return False, (
         f"recursion mismatch at lambda={list(lam_parts)} nu={list(nu_parts)} r={r}:"
-        f" lhs={report.lhs} rhs={report.rhs}"
+        f" lhs={report.lhs} rhs={report.rhs};"
+        f" repro: plethabacus sgn --lambda {_partition_arg(lam_parts)}"
+        f" --nu {_partition_arg(nu_parts)} --r {r}"
     )
 
 
@@ -176,7 +186,7 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     nus = [p for p in partitions_up_to(config.max_nu_size)]
-    failures: list[str] = []
+    failures: list[tuple[int, str]] = []  # (degree, message)
     expansion_total = recursion_total = 0
     for r in range(config.r_range[0], config.r_range[1] + 1):
         for m in range(config.m_range[0], config.m_range[1] + 1):
@@ -188,7 +198,9 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
             print(f"verify: expansion r={r} m={m}: {len(block)} cases", file=err, flush=True)
             results = [_expansion_case(case) for case in block]
             expansion_total += len(block)
-            failures.extend(msg for ok, msg in results if not ok)
+            failures.extend(
+                (r * m + sum(case[0]), msg) for case, (ok, msg) in zip(block, results) if not ok
+            )
 
             block4 = [
                 (lam.parts, nu.parts, r)
@@ -199,12 +211,16 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
             print(f"verify: recursion r={r} m={m}: {len(block4)} cases", file=err, flush=True)
             results = [_recursion_case(case) for case in block4]
             recursion_total += len(block4)
-            failures.extend(msg for ok, msg in results if not ok)
+            failures.extend(
+                (sum(case[0]), msg) for case, (ok, msg) in zip(block4, results) if not ok
+            )
 
     print(f"expansion vs polynomial oracle: {expansion_total} cases", file=out)
     print(f"sign recursion: {recursion_total} cases", file=out)
     if failures:
-        print(f"FAIL: {len(failures)} mismatches; first: {failures[0]}", file=out)
+        # the smallest degree first: min keeps the earliest of equal degrees
+        _, first = min(failures, key=lambda failure: failure[0])
+        print(f"FAIL: {len(failures)} mismatches; first: {first}", file=out)
         return 1
     print("PASS: all identities hold in the swept range", file=out)
     return 0

@@ -148,6 +148,19 @@ class SchurExpansion:
                 raise ValueError(f"{p} does not have degree {self.degree}")
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, degree: int, terms: dict[Partition, int]) -> "SchurExpansion":
+        """An expansion of terms valid by construction, with no filter or check.
+
+        Only for callers whose terms all have nonzero coefficients and
+        shapes of the given degree by construction (the signed rules of
+        symfunc); every other input goes through SchurExpansion(...).
+        """
+        e = object.__new__(cls)
+        object.__setattr__(e, "degree", degree)
+        object.__setattr__(e, "terms", terms)
+        return e
+
     def items(self) -> list[tuple[Partition, int]]:
         """Terms sorted by partition, descending lexicographically."""
         return sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)

@@ -36,7 +36,7 @@ def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
         if lam in terms:
             raise AssertionError(f"{lam} added twice to {nu} with r={r}")
         terms[lam] = (-1) ** height
-    return SchurExpansion(nu.size() + r, terms)
+    return SchurExpansion._trusted(nu.size() + r, terms)
 
 
 def _runner_raises(beads: list[int], r: int, m: int) -> list[list[list[int]]]:
@@ -74,7 +74,7 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     if r < 1 or m < 0:
         raise ValueError(f"need r >= 1 and m >= 0, got r={r}, m={m}")
     if m == 0:
-        return SchurExpansion(nu.size(), {nu: 1})
+        return SchurExpansion._trusted(nu.size(), {nu: 1})
     nu_beads = _beads_of(nu.parts, len(nu) + r * m)
     per_runner = [
         _runner_raises([p for p in reversed(nu_beads) if p % r == t], r, m)
@@ -104,7 +104,7 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
                 )
 
     assemble(0, m, [])
-    return SchurExpansion(nu.size() + r * m, terms)
+    return SchurExpansion._trusted(nu.size() + r * m, terms)
 
 
 def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:

@@ -11,7 +11,6 @@ the type II pair set, and the oracle's expansion through Kostka numbers.
 from collections import Counter
 
 from plethabacus.abacus import Abacus, runner_beads
-from plethabacus.oracle import _kostka, _solve_kostka
 from plethabacus.partitions import (
     Partition,
     SchurExpansion,
@@ -20,6 +19,7 @@ from plethabacus.partitions import (
     partitions_of_size_containing,
     subpartitions_of_size,
 )
+from plethabacus.ring import _kostka, _solve_kostka
 from plethabacus.strips import runner_is_decomposable
 
 

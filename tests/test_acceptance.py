@@ -21,7 +21,7 @@ from plethabacus.abacus import (
     strip_height,
     swap_bead,
 )
-from plethabacus.oracle import newton_check, oracle_plethystic_mn
+from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
     Box,
     make_partition,
@@ -31,6 +31,7 @@ from plethabacus.partitions import (
     partitions_up_to,
     subpartitions_of_size,
 )
+from plethabacus.ring import newton_check
 from plethabacus.strips import (
     RunnerType,
     border_strips,

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -234,6 +236,66 @@ def test_verify_reports_mismatches(capsys, monkeypatch):
     )
     assert code == 1
     assert "FAIL: 1 mismatches; first: boom" in out
+
+
+def test_verify_names_smallest_degree_mismatch_with_runnable_repro(capsys, monkeypatch):
+    # two wrong oracle answers; the degree-3 one is swept before the degree-2 one
+    real = cli.oracle_plethystic_mn
+    wrong = {((1,), 1, 2), ((), 2, 1)}
+
+    def oracle(nu, r, m):
+        truth = real(nu, r, m)
+        return SchurExpansion(truth.degree, {}) if (nu.parts, r, m) in wrong else truth
+
+    monkeypatch.setattr(cli, "oracle_plethystic_mn", oracle)
+    code, out, _ = run_cli(
+        capsys, ["verify", "--max-nu-size", "1", "--r-range", "1..2", "--m-range", "1..2"]
+    )
+    assert code == 1
+    (summary,) = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert summary.startswith("FAIL: 2 mismatches; first: expansion mismatch at nu=[] r=2 m=1;")
+    repro = summary.split("repro: ")[1]
+    assert repro == "plethabacus expand --nu - --r 2 --m 1"
+    code, out, _ = run_cli(capsys, shlex.split(repro)[1:])
+    assert code == 0
+    assert out == "+ s[2] - s[1,1]\n"
+
+
+def test_recursion_mismatch_prints_runnable_repro(capsys, monkeypatch):
+    real = cli.sign_recursion_check
+
+    def check(skew, r):
+        report = real(skew, r)
+        if (skew.outer.parts, skew.inner.parts, r) == ((2, 1), (1,), 1):
+            return dataclasses.replace(report, m=report.m + 1)
+        return report
+
+    monkeypatch.setattr(cli, "sign_recursion_check", check)
+    code, out, _ = run_cli(
+        capsys, ["verify", "--max-nu-size", "1", "--r-range", "1..2", "--m-range", "1..2"]
+    )
+    assert code == 1
+    (summary,) = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert "recursion mismatch at lambda=[2, 1] nu=[1] r=1:" in summary
+    repro = summary.split("repro: ")[1]
+    assert repro == "plethabacus sgn --lambda 2,1 --nu 1 --r 1"
+    code, out, _ = run_cli(capsys, shlex.split(repro)[1:])
+    assert code == 0
+    assert out.startswith("sgn_1((2,1)/(1)) = ")
+
+
+def test_expand_and_verify_leave_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "import plethabacus\n"
+        "import plethabacus.cli as cli\n"
+        "codes = [cli.main(['expand', '--r', '2', '--m', '2']), cli.main(\n"
+        "    ['verify', '--max-nu-size', '1', '--r-range', '1..2', '--m-range', '1..2'])]\n"
+        "print(codes, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 @pytest.mark.parametrize(

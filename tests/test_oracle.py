@@ -2,28 +2,30 @@ import ast
 import itertools
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plethabacus
 import plethabacus.oracle
+import plethabacus.ring
 from oracles import kostka_plethystic_mn, ssyt_monomials
-from plethabacus.oracle import (
+from plethabacus.oracle import RING_NAMES, _bialternant_matrix, _det, oracle_plethystic_mn
+from plethabacus.partitions import make_partition, partitions_of_size, partitions_up_to
+from plethabacus.ring import (
     MultivariatePolynomial,
     NotSymmetric,
     TooFewVariables,
     newton_check,
-    oracle_plethystic_mn,
     pleth_pr,
     poly_h,
     poly_p,
     poly_schur,
     schur_decompose,
 )
-from plethabacus.oracle import _bialternant_matrix, _det
-from plethabacus.partitions import make_partition, partitions_of_size, partitions_up_to
 from plethabacus.symfunc import SchurExpansion, mn_multiply, plethystic_mn
 
 
@@ -303,9 +305,9 @@ def test_oracle_equals_kostka_route_to_degree_12():
                 if r * m + nu.size() > 12:
                     continue
                 want = kostka_plethystic_mn(nu, r, m)
-                cached = plethabacus.oracle._kostka.cache_info().currsize
+                cached = plethabacus.ring._kostka.cache_info().currsize
                 assert oracle_plethystic_mn(nu, r, m) == want, (nu, r, m)
-                assert plethabacus.oracle._kostka.cache_info().currsize == cached
+                assert plethabacus.ring._kostka.cache_info().currsize == cached
                 cases += 1
     assert cases == 103
 
@@ -338,14 +340,60 @@ def test_oracle_agrees_with_plethystic_mn_at_degrees_13_to_15(nu, r, m):
     assert kostka_plethystic_mn(nu, r, m) == want
 
 
-def test_oracle_imports_no_combinatorial_module():
-    tree = ast.parse(Path(plethabacus.oracle.__file__).read_text())
+def imported_names(nodes) -> set[str]:
+    """Modules and module.name pairs that the import statements among nodes name."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return imported
+
+
+def source_tree(path) -> ast.Module:
+    return ast.parse(Path(path).read_text())
+
+
+def test_oracle_imports_no_combinatorial_module():
     forbidden = {"abacus", "strips", "symfunc"}
-    assert [name for name in imported if forbidden & set(name.split("."))] == []
+    for module in (plethabacus.oracle, plethabacus.ring):
+        imported = imported_names(ast.walk(source_tree(module.__file__)))
+        assert [name for name in imported if forbidden & set(name.split("."))] == [], module
+
+
+def test_numpy_is_imported_by_ring_only():
+    # module-level imports outside the standard library; the ring names
+    # that oracle forwards are imported inside its __getattr__
+    for module, allowed in (
+        (plethabacus.oracle, {"partitions"}),
+        (plethabacus.ring, {"partitions", "numpy"}),
+    ):
+        top = {name.split(".")[0] for name in imported_names(source_tree(module.__file__).body)}
+        assert top - set(sys.stdlib_module_names) == allowed, module
+    package = Path(plethabacus.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        imported = imported_names(ast.walk(source_tree(path)))
+        assert ("numpy" in imported) == (path.name == "ring.py"), path.name
+
+
+def test_ring_names_are_forwarded_to_the_ring_objects():
+    ring = plethabacus.ring
+    public = {
+        name
+        for name, value in vars(ring).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == ring.__name__
+    }
+    assert set(RING_NAMES) == public
+    for name in RING_NAMES:
+        assert getattr(plethabacus, name) is getattr(ring, name), name
+        assert getattr(plethabacus.oracle, name) is getattr(ring, name), name
+    assert set(RING_NAMES) <= set(dir(plethabacus))
+    from plethabacus import schur_decompose as imported
+
+    assert imported is ring.schur_decompose
+    with pytest.raises(AttributeError):
+        plethabacus.oracle._kostka  # private names stay in ring
+    with pytest.raises(AttributeError):
+        plethabacus.no_such_name

@@ -175,8 +175,10 @@ def test_plethystic_mn_matches_oracle_on_larger_inner_shapes():
 
 
 def test_expansion_terms_equal_validated_partitions():
-    # terms are built from bead lists without Partition's checks; each must
-    # equal, and hash like, the same parts sent through make_partition
+    # terms are built from bead lists without Partition's checks, and the
+    # expansions without SchurExpansion's; each must equal, and hash like,
+    # the same parts sent through make_partition, and each expansion the
+    # validated one built from its terms
     terms = 0
     for nu in partitions_up_to(4):
         for r in (1, 2, 3):
@@ -184,6 +186,9 @@ def test_expansion_terms_equal_validated_partitions():
             expansions += [
                 plethystic_mn(nu, r, m) for m in (1, 2, 3) if nu.size() + r * m <= 12
             ]
+            for e in expansions + [plethystic_mn(nu, r, 0)]:
+                validated = SchurExpansion(e.degree, dict(e.terms))
+                assert validated == e and validated.terms == e.terms, (nu, r)
             for e in expansions:
                 for lam in e.terms:
                     checked = make_partition(lam.parts)
