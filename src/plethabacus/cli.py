@@ -97,17 +97,17 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _runner_lines(lam: Partition, nu: Partition, r: int) -> list[str]:
+def _runner_kinds(lam: Partition, nu: Partition, r: int) -> list[str]:
+    """Per runner t of r, `type I`/`II`/`III` or `bead counts differ`."""
     b = max(len(lam), len(nu), 1)
     a, c = abacus_of(lam, b), abacus_of(nu, b)
-    lines = []
+    kinds = []
     for t in range(r):
         try:
-            kind = f"type {classify_runner(a, c, r, t).value}"
+            kinds.append(f"type {classify_runner(a, c, r, t).value}")
         except IncompatibleAbaci:
-            kind = "bead counts differ"
-        lines.append(f"runner {t}: {kind}")
-    return lines
+            kinds.append("bead counts differ")
+    return kinds
 
 
 def cmd_sgn(args, full_chain: bool) -> int:
@@ -124,7 +124,7 @@ def cmd_sgn(args, full_chain: bool) -> int:
                     "r": r,
                     "sign": sign,
                     "decomposition": None if dec is None else dec.to_json(),
-                    "runners": [line.split(": ")[1] for line in _runner_lines(lam, nu, r)],
+                    "runners": _runner_kinds(lam, nu, r),
                 }
             )
         )
@@ -132,8 +132,8 @@ def cmd_sgn(args, full_chain: bool) -> int:
     rendered = f"{sign:+d}" if sign else "0"
     print(f"sgn_{r}({_format_partition(lam)}/{_format_partition(nu)}) = {rendered}")
     if dec is None:
-        for line in _runner_lines(lam, nu, r):
-            print(line)
+        for t, kind in enumerate(_runner_kinds(lam, nu, r)):
+            print(f"runner {t}: {kind}")
         return 0
     print("heights: " + ",".join(str(h) for h in dec.heights))
     if full_chain:
@@ -155,28 +155,27 @@ def cmd_abacus(args) -> int:
 
 
 def _expansion_case(case) -> tuple[bool, str]:
-    nu_parts, r, m = case
-    nu = make_partition(nu_parts)
+    nu, r, m = case
     ours = plethystic_mn(nu, r, m)
     truth = oracle_plethystic_mn(nu, r, m)
     if ours == truth:
         return True, ""
     return False, (
-        f"expansion mismatch at nu={list(nu_parts)} r={r} m={m};"
-        f" repro: plethabacus expand --nu {_partition_arg(nu_parts)} --r {r} --m {m}"
+        f"expansion mismatch at nu={list(nu.parts)} r={r} m={m};"
+        f" repro: plethabacus expand --nu {_partition_arg(nu.parts)} --r {r} --m {m}"
     )
 
 
 def _recursion_case(case) -> tuple[bool, str]:
-    lam_parts, nu_parts, r = case
-    report = sign_recursion_check(make_skew(make_partition(lam_parts), make_partition(nu_parts)), r)
+    lam, nu, r = case
+    report = sign_recursion_check(make_skew(lam, nu), r)
     if report.lhs == report.rhs:
         return True, ""
     return False, (
-        f"recursion mismatch at lambda={list(lam_parts)} nu={list(nu_parts)} r={r}:"
+        f"recursion mismatch at lambda={list(lam.parts)} nu={list(nu.parts)} r={r}:"
         f" lhs={report.lhs} rhs={report.rhs};"
-        f" repro: plethabacus sgn --lambda {_partition_arg(lam_parts)}"
-        f" --nu {_partition_arg(nu_parts)} --r {r}"
+        f" repro: plethabacus sgn --lambda {_partition_arg(lam.parts)}"
+        f" --nu {_partition_arg(nu.parts)} --r {r}"
     )
 
 
@@ -185,13 +184,13 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     # resolve the streams late so callers may swap sys.stdout/sys.stderr
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    nus = [p for p in partitions_up_to(config.max_nu_size)]
+    nus = list(partitions_up_to(config.max_nu_size))
     failures: list[tuple[int, str]] = []  # (degree, message)
     expansion_total = recursion_total = 0
     for r in range(config.r_range[0], config.r_range[1] + 1):
         for m in range(config.m_range[0], config.m_range[1] + 1):
             block = [
-                (nu.parts, r, m)
+                (nu, r, m)
                 for nu in nus
                 if r * m + nu.size() <= config.max_degree
             ]
@@ -199,11 +198,11 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
             results = [_expansion_case(case) for case in block]
             expansion_total += len(block)
             failures.extend(
-                (r * m + sum(case[0]), msg) for case, (ok, msg) in zip(block, results) if not ok
+                (r * m + case[0].size(), msg) for case, (ok, msg) in zip(block, results) if not ok
             )
 
             block4 = [
-                (lam.parts, nu.parts, r)
+                (lam, nu, r)
                 for nu in nus
                 if r * m + nu.size() <= config.max_degree
                 for lam in partitions_of_size_containing(r * m + nu.size(), nu)
@@ -212,10 +211,10 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
             results = [_recursion_case(case) for case in block4]
             recursion_total += len(block4)
             failures.extend(
-                (sum(case[0]), msg) for case, (ok, msg) in zip(block4, results) if not ok
+                (case[0].size(), msg) for case, (ok, msg) in zip(block4, results) if not ok
             )
 
-    print(f"expansion vs polynomial oracle: {expansion_total} cases", file=out)
+    print(f"expansion vs determinant oracle: {expansion_total} cases", file=out)
     print(f"sign recursion: {recursion_total} cases", file=out)
     if failures:
         # the smallest degree first: min keeps the earliest of equal degrees

@@ -194,17 +194,44 @@ def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     return Decomposition(tuple(chain), tuple(strips), r)
 
 
+def _raise_bead(beads: list[int], i: int, target: int, inner: list[int]) -> int | None:
+    """Move beads[i] up to target in place, keeping the list descending.
+
+    beads and inner are descending bead positions at one bead count.
+    Returns the strip height, the number of beads the moved bead passes,
+    or None when target is negative, already holds a bead, or the moved
+    list no longer dominates inner; beads is then left part-moved. Only
+    the moved stretch is compared with inner, since the entries outside
+    it keep their values.
+    """
+    if target < 0:
+        return None
+    n = len(beads)
+    # the passed beads shift up one index each and the bead lands at j;
+    # entries before i and after j keep their values
+    j = i
+    while j + 1 < n and beads[j + 1] > target:
+        if beads[j + 1] < inner[j]:
+            return None
+        beads[j] = beads[j + 1]
+        j += 1
+    if (j + 1 < n and beads[j + 1] == target) or target < inner[j]:
+        return None
+    beads[j] = target
+    return j - i
+
+
 def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | None:
     """Strip heights along the greedy final r-strip chain from beads down to inner.
 
     beads and inner are descending bead positions at one bead count, and
-    r >= 1 (the loop would not end otherwise). Each step moves the bead at
-    the first index where the lists differ r places up, as
-    final_border_strip does, and the height is the number of beads it
-    passes. None where r_decompose gets stuck: the new position is
-    negative or holds a bead, or the moved list no longer dominates inner
-    entrywise. Entries only ever decrease, so beads that do not dominate
-    inner to begin with (outer not containing inner) also give None.
+    r >= 1 (the loop would not end otherwise). Each step raises the bead
+    at the first index where the lists differ r places, as
+    final_border_strip does. None where r_decompose gets stuck: the new
+    position is negative or holds a bead, or the moved list no longer
+    dominates inner entrywise. Entries only ever decrease, so beads that
+    do not dominate inner to begin with (outer not containing inner) also
+    give None.
     """
     beads = list(beads)
     n = len(beads)
@@ -215,21 +242,10 @@ def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | N
             i += 1
         if i == n:
             return heights
-        target = beads[i] - r
-        if target < 0:
+        height = _raise_bead(beads, i, beads[i] - r, inner)
+        if height is None:
             return None
-        # the passed beads shift up one index each and the bead lands at j;
-        # entries before i and after j keep their values
-        j = i
-        while j + 1 < n and beads[j + 1] > target:
-            if beads[j + 1] < inner[j]:
-                return None
-            beads[j] = beads[j + 1]
-            j += 1
-        if (j + 1 < n and beads[j + 1] == target) or target < inner[j]:
-            return None
-        beads[j] = target
-        heights.append(j - i)
+        heights.append(height)
 
 
 def decomposition_moves(dec: Decomposition, bead_count: int | None = None) -> list[BeadMove]:
@@ -249,29 +265,19 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     """Common sign of every complete r-strip removal order from lam to nu, else 0.
 
     nu is reachable from lam exactly when, runner by runner, the bead
-    counts agree and each bead's order-matched target is not below it;
-    the sign is then the inversion sign of that forced matching.
+    counts agree and each bead's order-matched target is not below it,
+    which is when single_step_moves finds a move sequence; the sign is
+    then the inversion sign of that sequence.
     """
     _check_strip_length(r)
     if not lam.contains(nu) or (lam.size() - nu.size()) % r != 0:
         return 0
     b = max(len(lam), len(nu))
     a, c = abacus_of(lam, b), abacus_of(nu, b)
-    finals = {}
-    for t in range(r):
-        src = runner_beads(a, r, t)
-        dst = runner_beads(c, r, t)
-        if len(src) != len(dst) or any(x > y for x, y in zip(dst, src)):
-            return 0
-        finals.update(zip(src, dst))
-    beads = sorted(finals)
-    inversions = sum(
-        1
-        for i, b1 in enumerate(beads)
-        for b2 in beads[i + 1 :]
-        if finals[b1] > finals[b2]
-    )
-    return (-1) ** inversions
+    try:
+        return inversion_sign(a, single_step_moves(a, c, r))[0]
+    except IncompatibleAbaci:
+        return 0
 
 
 def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
@@ -515,33 +521,27 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     b = max(len(lam), len(nu), 1)
     beads = _beads_of(lam.parts, b)
     inner = _beads_of(nu.parts, b)
-    occupied = set(beads)
-    entries = []
-    for q in range(1, m + 1):
-        s = q * r
-        for i, beta in enumerate(beads):
-            target = beta - s
-            if target < 0 or target in occupied:
+    # lam contains nu, so beads already dominates inner entrywise
+    summands = []
+    # the stable sort keeps bead positions descending within a runner
+    for i, beta in sorted(enumerate(beads), key=lambda e: e[1] % r):
+        for q in range(1, m + 1):
+            moved = beads.copy()
+            height = _raise_bead(moved, i, beta - q * r, inner)
+            if height is None:
                 continue
-            # the passed beads shift up one index each and beta lands at j
-            j = i
-            while j + 1 < b and beads[j + 1] > target:
-                j += 1
-            moved = beads[:i] + beads[i + 1 : j + 1] + [target] + beads[j + 1 :]
-            if any(x < y for x, y in zip(moved, inner)):
-                continue
-            summand = RecursionSummand(
-                mu=_partition_of_beads(moved),
-                strip_length=s,
-                strip_sign=(-1) ** (j - i),
-                tail_sign=_chain_sign(moved, inner, r),
+            summands.append(
+                RecursionSummand(
+                    mu=_partition_of_beads(moved),
+                    strip_length=q * r,
+                    strip_sign=(-1) ** height,
+                    tail_sign=_chain_sign(moved, inner, r),
+                )
             )
-            entries.append((beta % r, -beta, q, summand))
-    entries.sort(key=lambda e: e[:3])
     return SignRecursionReport(
         skew=skew,
         r=r,
         m=m,
         sgn_r_value=_chain_sign(beads, inner, r),
-        summands=tuple(e[3] for e in entries),
+        summands=tuple(summands),
     )

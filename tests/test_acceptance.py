@@ -56,7 +56,7 @@ LABELS = {
     1: "strip catalogue golden values for the 20-box worked shape, under 1 ms",
     2: "greedy 2-strip chains: exact moves, heights and signs on both paths",
     3: "type II pairing golden values: delta, P, inversion sets, cancelling signs",
-    4: "plethystic expansions equal the polynomial oracle, |nu|<=4, r,m<=3, degree<=12",
+    4: "plethystic expansions equal the determinant oracle, |nu|<=4, r,m<=3, degree<=12",
     5: "sign recursion holds for all skew shapes with rm<=10, r<=3, |nu|<=4",
     6: "every removal order gives one sign, skew size<=8, r<=3 (exhaustive)",
     7: "abacus strips equal geometric rim search, |lambda|<=12, s<=6",

@@ -175,7 +175,7 @@ def test_verify_small_sweep_passes(capsys):
     )
     assert code == 0
     assert out.splitlines() == [
-        "expansion vs polynomial oracle: 8 cases",
+        "expansion vs determinant oracle: 8 cases",
         "sign recursion: 25 cases",
         "PASS: all identities hold in the swept range",
     ]
@@ -208,7 +208,7 @@ def test_verify_default_sweep():
     out, err = io.StringIO(), io.StringIO()
     assert cli.run_verify(cli.VerifyConfig(), out, err) == 0
     assert out.getvalue().splitlines() == [
-        "expansion vs polynomial oracle: 103 cases",
+        "expansion vs determinant oracle: 103 cases",
         "sign recursion: 1440 cases",
         "PASS: all identities hold in the swept range",
     ]
@@ -222,7 +222,7 @@ def test_verify_past_degree_15(capsys):
          "--max-degree", "16"],
     )
     assert code == 0
-    assert "expansion vs polynomial oracle: 1 cases" in out
+    assert "expansion vs determinant oracle: 1 cases" in out
     assert "sign recursion: 231 cases" in out
 
 

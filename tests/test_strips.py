@@ -458,3 +458,12 @@ def test_sign_recursion_holds_on_small_sweep():
             beta = lam.part(top) + b - top
             keys.append((beta % r, -beta, s.strip_length // r))
         assert keys == sorted(set(keys)), (lam, nu, r)
+        # every removal of a q*r-ribbon that keeps nu appears exactly once
+        found = [(s.mu, s.strip_length) for s in report.summands]
+        want = {
+            (mu, q * r)
+            for q in range(1, report.m + 1)
+            for mu in ribbon_removals(lam, q * r)
+            if mu.contains(nu)
+        }
+        assert len(found) == len(set(found)) and set(found) == want, (lam, nu, r)
