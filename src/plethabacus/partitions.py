@@ -52,8 +52,9 @@ class Partition:
         """A Partition of parts valid by construction, with no conversion or check.
 
         Only for callers that build a tuple of positive weakly decreasing
-        ints themselves (bead lists, the enumerator); input from outside
-        goes through Partition(...) or make_partition.
+        ints themselves (bead lists, the enumerator, make_partition after
+        its own checks); input from outside goes through Partition(...)
+        or make_partition.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "parts", parts)
@@ -78,8 +79,14 @@ class Partition:
         return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
-        """Containment of Young diagrams, padding with zeros."""
-        return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
+        """Containment of Young diagrams, padding with zeros.
+
+        Parts are positive, so other fits only if it has no more rows;
+        the rows both shapes have are then compared pairwise.
+        """
+        return len(self.parts) >= len(other.parts) and all(
+            a >= b for a, b in zip(self.parts, other.parts)
+        )
 
     def boxes(self) -> Iterator[Box]:
         for i, row_len in enumerate(self.parts, start=1):
@@ -94,7 +101,11 @@ class Partition:
 
 
 def make_partition(parts: Iterable[int]) -> Partition:
-    """Build a Partition, stripping trailing zeros; rejects bad input."""
+    """Build a Partition, stripping trailing zeros; rejects bad input.
+
+    The input is converted and checked once here; the stripped tuple of
+    positive weakly decreasing ints then needs no second pass.
+    """
     seq = _integers(parts)
     if any(a < 0 for a in seq):
         raise InvalidPartition(f"negative part in {seq}")
@@ -102,7 +113,7 @@ def make_partition(parts: Iterable[int]) -> Partition:
         raise InvalidPartition(f"not weakly decreasing: {seq}")
     while seq and seq[-1] == 0:
         seq.pop()
-    return Partition(tuple(seq))
+    return Partition._trusted(tuple(seq))
 
 
 @dataclass(frozen=True)

@@ -232,8 +232,11 @@ def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | N
     dominates inner entrywise. Entries only ever decrease, so beads that
     do not dominate inner to begin with (outer not containing inner) also
     give None.
+
+    The beads are moved in place, so the caller must pass a list it owns
+    and read nothing from it afterwards: after a non-None result it
+    equals inner, after None it is left part-moved.
     """
-    beads = list(beads)
     n = len(beads)
     heights = []
     i = 0
@@ -281,7 +284,10 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
 
 
 def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
-    """(-1)^(sum of _greedy_heights), or 0 where the greedy chain gets stuck."""
+    """(-1)^(sum of _greedy_heights), or 0 where the greedy chain gets stuck.
+
+    Consumes beads, as _greedy_heights does.
+    """
     heights = _greedy_heights(beads, inner, r)
     return 0 if heights is None else (-1) ** sum(heights)
 
@@ -512,6 +518,16 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     to a gap beta - s >= 0; its height is the number of beads passed, and
     the complement contains the inner shape when the moved list still
     dominates the inner shape's bead list entrywise.
+
+    Candidates that cannot give a summand are pruned before the bead list
+    is copied: q stops at beta // r, so the target is never negative, and
+    a target that holds a bead is skipped. The q loop ends at the first
+    free target whose moved list fails to dominate inner, since every
+    larger q fails too: the bead then passes a superset of the same
+    beads, each shifted to the same index as before, and where it landed
+    below inner[j] before, entry j now holds something lower still (the
+    next passed bead, which sat below the old free target, or the lower
+    new target).
     """
     _check_strip_length(r)
     if skew.size() % r != 0:
@@ -521,22 +537,23 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     b = max(len(lam), len(nu), 1)
     beads = _beads_of(lam.parts, b)
     inner = _beads_of(nu.parts, b)
+    occupied = set(beads)
     # lam contains nu, so beads already dominates inner entrywise
     summands = []
     # the stable sort keeps bead positions descending within a runner
     for i, beta in sorted(enumerate(beads), key=lambda e: e[1] % r):
-        for q in range(1, m + 1):
-            moved = beads.copy()
-            height = _raise_bead(moved, i, beta - q * r, inner)
-            if height is None:
+        for q in range(1, min(m, beta // r) + 1):
+            target = beta - q * r
+            if target in occupied:
                 continue
+            moved = beads.copy()
+            height = _raise_bead(moved, i, target, inner)
+            if height is None:
+                break
+            # decode mu before _chain_sign consumes moved
+            mu = _partition_of_beads(moved)
             summands.append(
-                RecursionSummand(
-                    mu=_partition_of_beads(moved),
-                    strip_length=q * r,
-                    strip_sign=(-1) ** height,
-                    tail_sign=_chain_sign(moved, inner, r),
-                )
+                RecursionSummand(mu, q * r, (-1) ** height, _chain_sign(moved, inner, r))
             )
     return SignRecursionReport(
         skew=skew,

@@ -92,8 +92,9 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
         for raised in per_runner[t][left]:
             positions = beads + raised
             positions.sort(reverse=True)
-            heights = _greedy_heights(positions, nu_beads, r)
+            # decode lam before the kernel consumes positions
             lam = _partition_of_beads(positions)
+            heights = _greedy_heights(positions, nu_beads, r)
             count = len(terms)
             if heights is not None:
                 terms[lam] = (-1) ** sum(heights)

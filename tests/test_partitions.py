@@ -53,6 +53,30 @@ def test_make_partition_rejects_bad_input():
     assert make_partition(np.array([2, 1, 0])) == Partition((np.int64(2), 1))
 
 
+def test_make_partition_equals_checked_constructor():
+    # make_partition checks its input once and skips Partition's own checks
+    for p in partitions_up_to(8):
+        parts = list(p.parts)
+        for given in (parts, parts + [0, 0], np.array(parts + [0], dtype=np.int64)):
+            made = make_partition(given)
+            assert made == Partition(tuple(parts)), given
+            assert hash(made) == hash(Partition(tuple(parts))), given
+            assert all(type(a) is int for a in made.parts), given
+    for bad in ([1.0], [2, 1.5], ["2"], "21", [3, -1], [-1], [2, 3], [1, 0, 1]):
+        with pytest.raises(InvalidPartition):
+            make_partition(bad)
+    with pytest.raises(InvalidPartition):
+        Partition((2, 3))
+
+
+def test_contains_matches_padded_part_definition():
+    shapes = list(partitions_up_to(7))
+    for p in shapes:
+        for q in shapes:
+            padded = all(p.part(i) >= q.part(i) for i in range(1, len(q) + 1))
+            assert p.contains(q) == padded, (p, q)
+
+
 def test_part_is_one_based_and_zero_padded():
     p = make_partition([3, 1])
     assert p.part(1) == 3

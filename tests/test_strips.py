@@ -37,7 +37,8 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
-from plethabacus.strips import _greedy_heights
+from plethabacus.abacus import _beads_of, _partition_of_beads
+from plethabacus.strips import _greedy_heights, _raise_bead
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -200,6 +201,9 @@ def test_greedy_heights_kernel_matches_r_decompose():
                         beads = sorted(abacus_of(lam, b).bead_positions, reverse=True)
                         inner = sorted(abacus_of(nu, b).bead_positions, reverse=True)
                         assert _greedy_heights(beads, inner, r) == want, (lam, nu, r, b)
+                        # the kernel moves beads in place, ending on nu's beads
+                        if want is not None:
+                            assert beads == inner, (lam, nu, r, b)
     assert cases == 10614
 
 
@@ -467,3 +471,35 @@ def test_sign_recursion_holds_on_small_sweep():
             if mu.contains(nu)
         }
         assert len(found) == len(set(found)) and set(found) == want, (lam, nu, r)
+
+
+def test_sign_recursion_pruning_keeps_every_summand():
+    # the unpruned loop: every (bead, q <= m) on a fresh copy, skipping Nones
+    stops = 0
+    for lam, nu, r in skews_up_to(8, 6, (1, 2, 3, 4)):
+        m = (lam.size() - nu.size()) // r
+        b = max(len(lam), len(nu), 1)
+        beads = _beads_of(lam.parts, b)
+        inner = _beads_of(nu.parts, b)
+        want = []
+        for i, beta in sorted(enumerate(beads), key=lambda e: e[1] % r):
+            failed = False
+            for q in range(1, m + 1):
+                target = beta - q * r
+                moved = beads.copy()
+                height = _raise_bead(moved, i, target, inner)
+                free = target >= 0 and target not in beads
+                # a free target that fails domination fails for every larger q
+                assert not (failed and height is not None), (lam, nu, r, beta, q)
+                if height is None:
+                    stops += free and not failed
+                    failed = failed or free
+                    continue
+                mu = _partition_of_beads(moved)
+                sign = sgn_r(make_skew(mu, nu), r)
+                want.append((mu, q * r, (-1) ** height, sign))
+        report = sign_recursion_check(make_skew(lam, nu), r)
+        got = [(s.mu, s.strip_length, s.strip_sign, s.tail_sign) for s in report.summands]
+        assert got == want, (lam, nu, r)
+    # where sign_recursion_check breaks out of its q loop
+    assert stops == 1382
