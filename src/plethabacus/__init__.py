@@ -5,7 +5,8 @@ combinatorial side (partitions, abacus, strips, symfunc) computes signed
 expansions through border-strip removals, while oracle recomputes the
 same expansions with one bialternant determinant per Schur function.
 Neither imports numpy: the dense polynomial ring (`ring`) is loaded on
-first access to one of its public names, such as schur_decompose.
+first access to one of its public names, such as schur_decompose. The
+command line lives in `cli`, which importing the package does not load.
 """
 
 from .abacus import (
@@ -30,7 +31,6 @@ from .abacus import (
     swap_bead,
     with_bead_count,
 )
-from .cli import VerifyConfig, main, run_verify
 from .oracle import RING_NAMES as _RING_NAMES
 from .oracle import oracle_plethystic_mn
 from .partitions import (
@@ -60,7 +60,6 @@ from .strips import (
     SignRecursionReport,
     border_strip,
     border_strips,
-    border_strips_geometric,
     classify_runner,
     decomposition_moves,
     final_border_strip,

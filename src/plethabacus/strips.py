@@ -35,7 +35,6 @@ from .partitions import (
     SkewPartition,
     make_skew,
     minimal_distinct_row,
-    subpartitions_of_size,
 )
 
 
@@ -118,16 +117,6 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     out = []
     for beta in sorted(movable_beads(a, s), reverse=True):
         out.append(border_strip(shape, partition_of(swap_bead(a, beta, s))))
-    return out
-
-
-def border_strips_geometric(shape: Partition, s: int) -> list[BorderStrip]:
-    """Brute-force s-strip search over subshapes; independent of the abacus."""
-    out = []
-    for mu in subpartitions_of_size(shape, shape.size() - s):
-        if is_border_strip_pair(shape, mu):
-            out.append(border_strip(shape, mu))
-    out.sort(key=lambda st: st.top_right.row)
     return out
 
 

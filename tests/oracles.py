@@ -3,14 +3,17 @@
 Most helpers here recompute combinatorial facts from first principles on
 raw box sets (connectivity walks, tableau fillings, exhaustive recursion)
 so that library results can be checked against a second implementation
-that shares no code with the abacus machinery. The last two are slower
-routes to library results, kept as references: an exhaustive search for
-the type II pair set, and the oracle's expansion through Kostka numbers.
+that shares no code with the abacus machinery. The rest are slower
+routes to library results, kept as references: a search of all
+subshapes for border strips, an exhaustive search for the type II pair
+set, and the oracle's expansion through Kostka numbers or through one
+full bialternant matrix per partition of the degree.
 """
 
 from collections import Counter
 
 from plethabacus.abacus import Abacus, runner_beads
+from plethabacus.oracle import _det
 from plethabacus.partitions import (
     Partition,
     SchurExpansion,
@@ -20,7 +23,12 @@ from plethabacus.partitions import (
     subpartitions_of_size,
 )
 from plethabacus.ring import _kostka, _solve_kostka
-from plethabacus.strips import runner_is_decomposable
+from plethabacus.strips import (
+    BorderStrip,
+    border_strip,
+    is_border_strip_pair,
+    runner_is_decomposable,
+)
 
 
 def skew_boxes(outer: Partition, inner: Partition) -> set:
@@ -168,6 +176,16 @@ def young_diagram_rows(boxes: set) -> list:
     return lengths
 
 
+def border_strips_geometric(shape: Partition, s: int) -> list[BorderStrip]:
+    """Brute-force s-strip search over subshapes; independent of the abacus."""
+    out = []
+    for mu in subpartitions_of_size(shape, shape.size() - s):
+        if is_border_strip_pair(shape, mu):
+            out.append(border_strip(shape, mu))
+    out.sort(key=lambda st: st.top_right.row)
+    return out
+
+
 def brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int) -> frozenset:
     """All (bead, gap) swaps on runner t after which the runner is decomposable.
 
@@ -235,3 +253,36 @@ def kostka_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """
     degree = r * m + nu.size()
     return _solve_kostka(degree, lambda mu: pleth_coefficient(nu.parts, r, m, mu.parts))
+
+
+def bialternant_matrix(lam: Partition, nu: Partition, r: int) -> list[list[int]] | None:
+    """The 0/1 matrix whose determinant is the coefficient of s_lam, or None if singular.
+
+    Entry (i, j) is 1 when (lam_i - i) - (nu_j - j) is a nonnegative
+    multiple of r, for i, j up to max(len(lam), len(nu)). Nonzero entries
+    only join a row and a column of one residue class mod r, so when the
+    classes hold different numbers of rows and columns some block is not
+    square and the matrix is singular: None says so without building it.
+    """
+    rows = max(len(lam), len(nu))
+    lam_d = [p - i for i, p in enumerate(lam.parts + (0,) * (rows - len(lam)))]
+    nu_d = [p - j for j, p in enumerate(nu.parts + (0,) * (rows - len(nu)))]
+    if sorted(d % r for d in lam_d) != sorted(e % r for e in nu_d):
+        return None
+    return [[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d]
+
+
+def bialternant_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
+    """The oracle's expansion with one dense determinant per partition of the degree.
+
+    Every partition of the degree is visited, and each one whose residues
+    match nu's has its whole bialternant matrix taken by the library's
+    Bareiss _det, with no containment test and no residue blocks.
+    """
+    degree = r * m + nu.size()
+    terms = {}
+    for lam in partitions_of_size(degree):
+        matrix = bialternant_matrix(lam, nu, r)
+        if matrix is not None:
+            terms[lam] = _det(matrix)
+    return SchurExpansion(degree, terms)  # drops the zero determinants

@@ -10,7 +10,7 @@ import random
 import time
 
 import conftest
-from oracles import is_ribbon, removal_sign_set, ribbon_height
+from oracles import border_strips_geometric, is_ribbon, removal_sign_set, ribbon_height
 from plethabacus.abacus import (
     BeadMove,
     IncompatibleAbaci,
@@ -35,7 +35,6 @@ from plethabacus.ring import newton_check
 from plethabacus.strips import (
     RunnerType,
     border_strips,
-    border_strips_geometric,
     decomposition_moves,
     order_independent_sign,
     pairing_witness,
@@ -65,6 +64,7 @@ LABELS = {
     10: "single-factor plethystic expansion reduces to the classical rule",
     11: "plethystic expansions equal the oracle, |nu|<=6, r<=4, m<=5, degree<=18",
     12: "plethystic expansions equal the oracle, |nu|<=2, r in {3,5}, 24<degree<=30",
+    13: "plethystic expansions equal the oracle at five shapes of degree 36 to 42",
 }
 
 
@@ -312,4 +312,13 @@ def test_12_plethystic_expansion_equals_oracle_to_degree_30():
     assert len(cases) == 13
     cases += [(make_partition([3, 2, 1]), 2, 10), (make_partition([4, 3, 2, 1]), 2, 10)]
     for nu, r, m in cases:
+        assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (nu, r, m)
+
+
+@acceptance(13)
+def test_13_plethystic_expansion_equals_oracle_to_degree_42():
+    cases = [((), 4, 9), ((1,), 4, 9), ((), 4, 10), ((), 6, 7), ((), 12, 3)]
+    for nu, r, m in cases:
+        nu = make_partition(nu)
+        assert 36 <= r * m + nu.size() <= 42
         assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (nu, r, m)

@@ -298,6 +298,23 @@ def test_expand_and_verify_leave_numpy_unloaded():
     assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+def test_package_import_leaves_the_cli_unloaded():
+    # the command line, and argparse and json with it, load with plethabacus.cli
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import plethabacus\n"
+        "loaded = set(sys.modules) - before\n"
+        "print(sorted({'plethabacus.cli', 'argparse', 'json'} & loaded))\n"
+        "from plethabacus.cli import main\n"
+        "print(main(['expand', '--r', '2', '--m', '1']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "0"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 import plethabacus
 import plethabacus.oracle
 import plethabacus.ring
-from oracles import kostka_plethystic_mn, ssyt_monomials
-from plethabacus.oracle import RING_NAMES, _bialternant_matrix, _det, oracle_plethystic_mn
+from oracles import (
+    bialternant_matrix,
+    bialternant_plethystic_mn,
+    kostka_plethystic_mn,
+    ssyt_monomials,
+)
+from plethabacus.oracle import RING_NAMES, _det, _residue_shapes, oracle_plethystic_mn
 from plethabacus.partitions import make_partition, partitions_of_size, partitions_up_to
 from plethabacus.ring import (
     MultivariatePolynomial,
@@ -252,7 +257,7 @@ def test_residue_prefilter_skips_only_singular_matrices():
     skipped = 0
     for nu, r, m in cases:
         for lam in partitions_of_size(r * m + nu.size()):
-            if _bialternant_matrix(lam, nu, r) is not None:
+            if bialternant_matrix(lam, nu, r) is not None:
                 continue
             skipped += 1
             rows = max(len(lam), len(nu))
@@ -261,6 +266,82 @@ def test_residue_prefilter_skips_only_singular_matrices():
             full = [[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d]
             assert _det(full) == 0, (lam, nu, r, m)
     assert skipped == 5668  # of 7449 shapes; 5123 of 5604 at degree 30
+
+
+def acceptance_4_and_12_cases():
+    cases = [
+        (nu, r, m)
+        for nu in partitions_up_to(4)
+        for r in (1, 2, 3)
+        for m in (1, 2, 3)
+        if r * m + nu.size() <= 12
+    ]
+    cases += [
+        (nu, r, m)
+        for nu in partitions_up_to(2)
+        for r in (3, 5)
+        for m in range(1, 11)
+        if 24 < r * m + nu.size() <= 30
+    ]
+    cases += [(make_partition([3, 2, 1]), 2, 10), (make_partition([4, 3, 2, 1]), 2, 10)]
+    return cases
+
+
+def test_residue_shapes_are_the_prefiltered_shapes_containing_nu():
+    cases = acceptance_4_and_12_cases()
+    assert len(cases) == 103 + 15
+    shapes = uncontained = 0
+    for nu, r, m in cases:
+        degree = r * m + nu.size()
+        want = set()
+        for lam in partitions_of_size(degree):
+            matrix = bialternant_matrix(lam, nu, r)
+            if matrix is None:
+                continue
+            if lam.contains(nu):
+                want.add(lam.parts)
+            else:
+                # rows i.. vanish in columns ..i where lam_i < nu_i
+                uncontained += 1
+                assert _det(matrix) == 0, (lam, nu, r, m)
+        got = _residue_shapes(nu, r, degree)
+        assert sorted(parts for parts, _, _ in got) == sorted(want), (nu, r, m)
+        for parts, inversions, blocks in got:
+            residues = [(p - i) % r for i, p in enumerate(parts)]
+            assert inversions == sum(
+                a > b for i, a in enumerate(residues) for b in residues[i + 1 :]
+            ), (parts, nu, r)
+            assert blocks == [
+                [p - i for i, p in enumerate(parts) if (p - i) % r == t] for t in range(r)
+            ], (parts, nu, r)
+        shapes += len(got)
+    # 16228 shapes; 309 more pass the residue test but do not contain nu
+    assert (shapes, uncontained) == (16228, 309)
+
+
+@pytest.mark.parametrize(
+    "nu, r, m",
+    [
+        ((), 1, 0),
+        ((2, 1), 3, 0),  # m = 0: s_nu itself
+        ((3, 1, 1), 1, 0),
+        ((), 2, 3),  # nu = ()
+        ((), 3, 3),
+        ((), 7, 1),
+        ((), 9, 1),  # r = degree
+        ((2,), 3, 0),  # r > degree, only with m = 0
+        ((1, 1), 10**6, 0),
+        ((), 1, 6),  # r = 1: one block, every shape containing nu
+        ((2, 1), 1, 4),
+        ((3, 3), 1, 3),
+    ],
+)
+def test_oracle_equals_full_matrix_reference_on_edge_cases(nu, r, m):
+    nu = make_partition(nu)
+    got = oracle_plethystic_mn(nu, r, m)
+    assert got == bialternant_plethystic_mn(nu, r, m)
+    if m == 0:
+        assert got == SchurExpansion(nu.size(), {nu: 1})
 
 
 def test_oracle_plethystic_mn_examples():

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (
+    border_strips_geometric,
     brute_force_pair_set,
     is_ribbon,
     removal_sign_set,
@@ -24,7 +25,6 @@ from plethabacus.strips import (
     RunnerType,
     border_strip,
     border_strips,
-    border_strips_geometric,
     classify_runner,
     decomposition_moves,
     final_border_strip,
