@@ -12,7 +12,7 @@ public names stay readable here and load it on first access.
 
 from __future__ import annotations
 
-from .partitions import Partition, SchurExpansion
+from .partitions import Partition, SchurExpansion, _integer
 
 # the public names of `ring`, forwarded by this module and the package root
 RING_NAMES = (
@@ -143,10 +143,7 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     the blocks' determinants, each taken by _det, times the signs of the
     two sorts. It is exact in Python ints at every degree.
     """
-    if r < 1:
-        raise ValueError(f"power {r} must be >= 1")
-    if m < 0:
-        raise ValueError(f"degree {m} must be >= 0")
+    r, m = _integer("r", r, 1), _integer("m", m, 0)
     degree = r * m + nu.size()
     # every difference (lam_i - i) - (nu_j - j) is below 2 * degree, so a
     # larger r gives the same matrix (and r > degree only when m == 0)

@@ -28,6 +28,20 @@ def _integers(parts: Iterable[int]) -> list[int]:
         raise InvalidPartition(f"parts must be integers: {e}") from None
 
 
+def _integer(name: str, value: int, least: int) -> int:
+    """value as an int >= least, else a ValueError naming the argument.
+
+    A float or a string is rejected, not truncated.
+    """
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 class Box(NamedTuple):
     row: int
     column: int

@@ -9,7 +9,7 @@ length r whose greedy removal chain works back down to nu.
 from __future__ import annotations
 
 from .abacus import _beads_of, _partition_of_beads
-from .partitions import Partition, SchurExpansion
+from .partitions import Partition, SchurExpansion, _integer
 from .strips import _greedy_heights
 
 
@@ -29,8 +29,7 @@ def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
 
 def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
     """Expansion of s_nu * p_r: one signed term per added r-border-strip."""
-    if r < 1:
-        raise ValueError(f"strip length {r} must be >= 1")
+    r = _integer("r", r, 1)
     terms = {}
     for lam, height in _strip_additions(nu, r):
         if lam in terms:
@@ -68,14 +67,22 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_m): sgn_r(lam/nu) over lam.
 
     Candidates lam are generated runner by runner on the abacus of nu
-    padded to len(nu) + r*m beads, so only r-decomposable shapes appear;
+    padded to len(nu) + r beads, so only r-decomposable shapes appear;
     each is signed by the greedy final-strip chain on its bead positions.
+
+    One padding bead per runner suffices. Padding to len(nu) + r*m beads
+    would leave each runner a packed stack of m zero-part beads, of which
+    only the top can move: a bead directly below another on its runner
+    has cap 0 in _runner_raises. The r*(m-1) beads under the tops never
+    move, and no strip passes them, since every moved bead starts above
+    them. Dropping them shifts every position by r*(m-1), a multiple of
+    r, so runners, heights, signs and term order stay the same, and every
+    lam has at most len(nu) + r rows.
     """
-    if r < 1 or m < 0:
-        raise ValueError(f"need r >= 1 and m >= 0, got r={r}, m={m}")
+    r, m = _integer("r", r, 1), _integer("m", m, 0)
     if m == 0:
         return SchurExpansion._trusted(nu.size(), {nu: 1})
-    nu_beads = _beads_of(nu.parts, len(nu) + r * m)
+    nu_beads = _beads_of(nu.parts, len(nu) + r)
     per_runner = [
         _runner_raises([p for p in reversed(nu_beads) if p % r == t], r, m)
         for t in range(r)
@@ -109,9 +116,15 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
 
 
 def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
-    """Expansion of s_nu times the product of p_r applied to h_m over (r, m)."""
+    """Expansion of s_nu times the product of p_r applied to h_m over (r, m).
+
+    The factors commute and every coefficient is an exact int, so they
+    are applied in ascending r*m order (a stable sort): the small factors
+    first, while the expansion they act on is still small. The callers
+    check every factor before the first expansion.
+    """
     acc = SchurExpansion(nu.size(), {nu: 1})
-    for r, m in factors:
+    for r, m in sorted(factors, key=lambda f: f[0] * f[1]):
         terms: dict[Partition, int] = {}
         for p, c in acc.terms.items():
             for q, d in plethystic_mn(p, r, m).terms.items():
@@ -122,9 +135,11 @@ def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
 
 def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_{m_1} * ... * h_{m_d})."""
-    return _fold(nu, [(r, m) for m in ms])
+    r = _integer("r", r, 1)
+    return _fold(nu, [(r, _integer("m", m, 0)) for m in ms])
 
 
 def power_product_pleth(nu: Partition, rs: list[int], m: int) -> SchurExpansion:
     """Expansion of s_nu * product over i of (p_{r_i} applied to h_m)."""
-    return _fold(nu, [(r, m) for r in rs])
+    m = _integer("m", m, 0)
+    return _fold(nu, [(_integer("r", r, 1), m) for r in rs])

@@ -306,3 +306,97 @@ def test_recursive_consistency():
                             rhs[p] = rhs.get(p, 0) + c * sign
                 rhs = {p: c for p, c in rhs.items() if c}
                 assert lhs == rhs, (nu, r, m)
+
+
+def test_fold_checks_every_factor_before_expanding(monkeypatch):
+    nu = make_partition([1])
+    expanded = []
+
+    def recording(p, r, m):
+        expanded.append((p, r, m))
+        return plethystic_mn(p, r, m)
+
+    monkeypatch.setattr(symfunc, "plethystic_mn", recording)
+    with pytest.raises(ValueError, match="^r must be >= 1"):
+        plethystic_mn_multi(nu, 0, [])
+    with pytest.raises(ValueError, match="^m must be >= 0"):
+        power_product_pleth(nu, [], -3)
+    with pytest.raises(ValueError, match="^r must be >= 1"):
+        power_product_pleth(nu, [1, 0], 2)
+    with pytest.raises(ValueError, match="^m must be >= 0"):
+        plethystic_mn_multi(nu, 2, [1, -1])
+    assert expanded == []
+    assert power_product_pleth(nu, [1], 2).degree == 3
+    assert expanded == [(nu, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda nu: plethystic_mn(nu, 2, 1.0), "m"),
+        (lambda nu: plethystic_mn(nu, "2", 1), "r"),
+        (lambda nu: mn_multiply(nu, 2.0), "r"),
+        (lambda nu: mn_multiply(nu, "2"), "r"),
+        (lambda nu: oracle_plethystic_mn(nu, 2, 1.0), "m"),
+        (lambda nu: oracle_plethystic_mn(nu, "2", 1), "r"),
+        (lambda nu: plethystic_mn_multi(nu, 2.0, [1]), "r"),
+        (lambda nu: plethystic_mn_multi(nu, 2, [1, "1"]), "m"),
+        (lambda nu: power_product_pleth(nu, [2, 1.5], 1), "r"),
+        (lambda nu: power_product_pleth(nu, [2], "1"), "m"),
+    ],
+)
+def test_non_integer_r_or_m_is_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(make_partition([2, 1]))
+
+
+def test_plethystic_mn_padding_matches_oracle_at_large_m():
+    # m well above r, where the one padding bead of each runner must rise
+    # through many runner steps
+    cases = [((), 1, 20), ((), 2, 10), ((1,), 3, 7), ((2, 1), 2, 8), ((3, 1), 1, 16)]
+    cases += [((), 3, 8), ((2, 2), 2, 9)]
+    for nu, r, m in cases:
+        nu = make_partition(nu)
+        assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (nu, r, m)
+
+
+def test_plethystic_mn_terms_have_at_most_one_new_row_per_runner():
+    cases = 0
+    for nu in partitions_up_to(6):
+        for r in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4, 5):
+                if r * m + nu.size() > 18:
+                    continue
+                for lam in plethystic_mn(nu, r, m).terms:
+                    assert len(lam) <= len(nu) + r, (lam, nu, r, m)
+                cases += 1
+    assert cases == 521
+
+
+def left_to_right_fold(nu, factors):
+    acc = {nu: 1}
+    for r, m in factors:
+        out = {}
+        for p, c in acc.items():
+            for q, d in plethystic_mn(p, r, m).items():
+                out[q] = out.get(q, 0) + c * d
+        acc = out
+    return {p.parts: c for p, c in acc.items() if c}
+
+
+def test_fold_result_does_not_depend_on_factor_order():
+    folds = 0
+    for nu in partitions_up_to(3):
+        for ms in ((2, 1, 1), (3, 1), (1, 2)):
+            for r in (1, 2, 3):
+                want = left_to_right_fold(nu, [(r, m) for m in ms])
+                for order in set(itertools.permutations(ms)):
+                    assert expansion_dict(plethystic_mn_multi(nu, r, list(order))) == want
+                    folds += 1
+        for rs in ((1, 2, 3), (3, 1)):
+            for m in (1, 2):
+                want = left_to_right_fold(nu, [(r, m) for r in rs])
+                for order in set(itertools.permutations(rs)):
+                    assert expansion_dict(power_product_pleth(nu, list(order), m)) == want
+                    folds += 1
+    assert folds == 7 * (3 * (3 + 2 + 2) + 2 * (6 + 2))
