@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .abacus import _beads_of, _partition_of_beads
 from .partitions import Partition, SchurExpansion, _integer
-from .strips import _greedy_heights
 
 
 def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
@@ -38,80 +37,67 @@ def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
     return SchurExpansion._trusted(nu.size() + r, terms)
 
 
-def _runner_raises(beads: list[int], r: int, m: int) -> list[list[list[int]]]:
-    """Raises of one runner's ascending bead positions, bucketed by total 0..m.
-
-    Each bead may move down any number of runner steps (r positions each)
-    that keeps it strictly above the next bead's starting point; the last
-    bead is unbounded. Bucket j holds, as new bead positions, every raise
-    of j steps in all: exactly the raises of one runner that stay
-    r-decomposable. One depth-first pass fills every bucket.
-    """
-    caps = [(b - a) // r - 1 for a, b in zip(beads, beads[1:])] + [m]
-    buckets = [[] for _ in range(m + 1)]
-
-    def go(j: int, used: int, acc: list[int]):
-        if j == len(beads):
-            buckets[used].append(acc.copy())
-            return
-        for d in range(min(caps[j], m - used) + 1):
-            acc.append(beads[j] + r * d)
-            go(j + 1, used + d, acc)
-            acc.pop()
-
-    go(0, 0, [])
-    return buckets
-
-
 def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_m): sgn_r(lam/nu) over lam.
 
-    Candidates lam are generated runner by runner on the abacus of nu
-    padded to len(nu) + r beads, so only r-decomposable shapes appear;
-    each is signed by the greedy final-strip chain on its bead positions.
+    Each lam is built by running its greedy final r-strip chain in
+    reverse, from nu upward, so its sign is (-1) to the sum of the heights
+    of the chain that built it. Each r-decomposable lam has exactly one
+    greedy chain, so it is built once, and every lam built is
+    r-decomposable, since that chain is its decomposition.
 
-    One padding bead per runner suffices. Padding to len(nu) + r*m beads
-    would leave each runner a packed stack of m zero-part beads, of which
-    only the top can move: a bead directly below another on its runner
-    has cap 0 in _runner_raises. The r*(m-1) beads under the tops never
-    move, and no strip passes them, since every moved bead starts above
-    them. Dropping them shifts every position by r*(m-1), a multiple of
-    r, so runners, heights, signs and term order stay the same, and every
-    lam has at most len(nu) + r rows.
+    The state is mu's descending bead list at len(nu) + r beads, one
+    padding bead per runner, with k the length of its common prefix with
+    nu's list; at the start mu = nu and k = len(nu) + r. A reverse step
+    takes the bead at index idx, at position p, with t = p + r free. It
+    lands at index i, the number of beads at positions greater than t,
+    and passes idx - i beads: the strip height. The step is valid exactly
+    when i <= k and t > nu_beads[i]. Then the greedy first removal from
+    the new lam raises that bead back to p and gives mu, and the new k is
+    i. The second condition always holds, because mu dominates nu
+    entrywise and t exceeds mu's entry at i. Beads at positions
+    <= mu[k] - r cannot land at i <= k, so the scan stops there, and
+    every bead scanned before it satisfies i <= k.
+
+    One padding bead per runner suffices: in an r-decomposable lam/nu only
+    the top bead of each runner's packed stack of zero-part beads moves,
+    so lam has at most len(nu) + r rows.
     """
     r, m = _integer("r", r, 1), _integer("m", m, 0)
     if m == 0:
         return SchurExpansion._trusted(nu.size(), {nu: 1})
     nu_beads = _beads_of(nu.parts, len(nu) + r)
-    per_runner = [
-        _runner_raises([p for p in reversed(nu_beads) if p % r == t], r, m)
-        for t in range(r)
-    ]
-
+    n = len(nu_beads)
     terms: dict[Partition, int] = {}
-
-    def assemble(t: int, left: int, beads: list[int]):
-        if t < r - 1:
-            for j in range(left + 1):
-                for raised in per_runner[t][j]:
-                    assemble(t + 1, left - j, beads + raised)
-            return
-        for raised in per_runner[t][left]:
-            positions = beads + raised
-            positions.sort(reverse=True)
-            # decode lam before the kernel consumes positions
-            lam = _partition_of_beads(positions)
-            heights = _greedy_heights(positions, nu_beads, r)
+    # depth first on an explicit stack: a recursion would be m calls deep
+    stack = [(nu_beads, n, 0, m)]
+    while stack:
+        beads, k, height, left = stack.pop()
+        floor = beads[k] - r if k < n else -1
+        for idx, p in enumerate(beads):
+            if p <= floor:
+                break
+            t = p + r
+            i = idx
+            while i and beads[i - 1] < t:
+                i -= 1
+            if i and beads[i - 1] == t:
+                continue
+            lam = beads[:i]
+            lam.append(t)
+            lam += beads[i:idx]
+            lam += beads[idx + 1 :]
+            h = height + idx - i
+            if left > 1:
+                stack.append((lam, i, h, left - 1))
+                continue
+            shape = _partition_of_beads(lam)
             count = len(terms)
-            if heights is not None:
-                terms[lam] = (-1) ** sum(heights)
+            terms[shape] = -1 if h & 1 else 1
             if len(terms) == count:
                 raise AssertionError(
-                    f"candidate {lam} over {nu} with r={r}, m={m} "
-                    "is repeated or not r-decomposable"
+                    f"candidate {shape} over {nu} with r={r}, m={m} is repeated"
                 )
-
-    assemble(0, m, [])
     return SchurExpansion._trusted(nu.size() + r * m, terms)
 
 

@@ -6,13 +6,14 @@ so that library results can be checked against a second implementation
 that shares no code with the abacus machinery. The rest are slower
 routes to library results, kept as references: a search of all
 subshapes for border strips, an exhaustive search for the type II pair
-set, and the oracle's expansion through Kostka numbers or through one
-full bialternant matrix per partition of the degree.
+set, the oracle's expansion through Kostka numbers or through one full
+bialternant matrix per partition of the degree, and the runner-by-runner
+generation of plethystic_mn's shapes.
 """
 
 from collections import Counter
 
-from plethabacus.abacus import Abacus, runner_beads
+from plethabacus.abacus import Abacus, _beads_of, _partition_of_beads, runner_beads
 from plethabacus.oracle import _det
 from plethabacus.partitions import (
     Partition,
@@ -286,3 +287,56 @@ def bialternant_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
         if matrix is not None:
             terms[lam] = _det(matrix)
     return SchurExpansion(degree, terms)  # drops the zero determinants
+
+
+def runner_raises(beads: list[int], r: int, m: int) -> list[list[list[int]]]:
+    """Raises of one runner's ascending bead positions, bucketed by total 0..m.
+
+    Each bead may move down any number of runner steps (r positions each)
+    that keeps it strictly above the next bead's starting point; the last
+    bead is unbounded. Bucket j holds, as new bead positions, every raise
+    of j steps in all: exactly the raises of one runner that stay
+    r-decomposable. One depth-first pass fills every bucket.
+    """
+    caps = [(b - a) // r - 1 for a, b in zip(beads, beads[1:])] + [m]
+    buckets = [[] for _ in range(m + 1)]
+
+    def go(j: int, used: int, acc: list[int]):
+        if j == len(beads):
+            buckets[used].append(acc.copy())
+            return
+        for d in range(min(caps[j], m - used) + 1):
+            acc.append(beads[j] + r * d)
+            go(j + 1, used + d, acc)
+            acc.pop()
+
+    go(0, 0, [])
+    return buckets
+
+
+def runner_raise_candidates(nu: Partition, r: int, m: int) -> set[Partition]:
+    """The shapes plethystic_mn expands to, generated runner by runner.
+
+    On the abacus of nu at len(nu) + r beads, each runner takes one of
+    its runner_raises and the raises' totals sum to m; every combination
+    is decoded into one shape. This is the generation plethystic_mn used
+    before it built each shape along its greedy strip chain.
+    """
+    nu_beads = _beads_of(nu.parts, len(nu) + r)
+    per_runner = [
+        runner_raises([p for p in reversed(nu_beads) if p % r == t], r, m)
+        for t in range(r)
+    ]
+    shapes = set()
+
+    def assemble(t: int, left: int, beads: list[int]):
+        if t == r - 1:
+            for raised in per_runner[t][left]:
+                shapes.add(_partition_of_beads(sorted(beads + raised, reverse=True)))
+            return
+        for j in range(left + 1):
+            for raised in per_runner[t][j]:
+                assemble(t + 1, left - j, beads + raised)
+
+    assemble(0, m, [])
+    return shapes

@@ -42,6 +42,15 @@ def test_expand_json_matches_library(capsys):
     assert SchurExpansion.from_json(data) == plethystic_mn(make_partition([2, 1]), 2, 1)
 
 
+def test_expand_long_column_prints_both_terms(capsys):
+    # 1200 beads on one runner: a depth-first search as deep as the
+    # runner's beads would pass the interpreter's recursion limit
+    column = ",".join(["1"] * 1200)
+    code, out, err = run_cli(capsys, ["expand", "--nu", column, "--r", "1", "--m", "1"])
+    assert (code, err) == (0, "")
+    assert out == f"+ s[2{',1' * 1199}] + s[1{',1' * 1200}]\n"
+
+
 def test_expand_ms_multiplies_factors(capsys):
     code, out, _ = run_cli(
         capsys, ["expand", "--nu", "-", "--r", "2", "--ms", "1,1", "--format", "json"]

@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from oracles import horizontal_strip_additions, ribbon_additions
+from oracles import (
+    horizontal_strip_additions,
+    ribbon_additions,
+    runner_raise_candidates,
+    runner_raises,
+)
 from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
     make_partition,
@@ -15,10 +20,10 @@ from plethabacus.partitions import (
     partitions_up_to,
 )
 from plethabacus import symfunc
-from plethabacus.strips import r_decompose
+from plethabacus.abacus import _beads_of
+from plethabacus.strips import _greedy_heights, r_decompose
 from plethabacus.symfunc import (
     SchurExpansion,
-    _runner_raises,
     mn_multiply,
     plethystic_mn,
     plethystic_mn_multi,
@@ -210,16 +215,15 @@ def test_runner_raises_equal_brute_force():
                         want[sum(d)].append([t + r * e for e in new])
                 beads = [t + r * s for s in steps]
                 for m in (0, 1, 6):
-                    got = _runner_raises(beads, r, m)
+                    got = runner_raises(beads, r, m)
                     assert [sorted(b) for b in got] == want[: m + 1], (beads, r, m)
 
 
 def test_plethystic_mn_rejects_unsigned_and_repeated_candidates(monkeypatch):
+    # every term is built along its own greedy chain, so no unsigned
+    # candidate can arise; a decoder that maps every bead list to one
+    # shape makes every term after the first a repeat
     nu = make_partition([1])
-    with monkeypatch.context() as patch:
-        patch.setattr(symfunc, "_greedy_heights", lambda *args: None)
-        with pytest.raises(AssertionError, match="not r-decomposable"):
-            plethystic_mn(nu, 2, 2)
     with monkeypatch.context() as patch:
         patch.setattr(symfunc, "_partition_of_beads", lambda beads: make_partition([5]))
         with pytest.raises(AssertionError, match="repeated"):
@@ -231,7 +235,7 @@ def test_plethystic_mn_check_survives_optimize_flag():
     code = (
         "import sys\n"
         "from plethabacus import make_partition, symfunc\n"
-        "symfunc._greedy_heights = lambda *args: None\n"
+        "symfunc._partition_of_beads = lambda beads: make_partition([5])\n"
         "try:\n"
         "    symfunc.plethystic_mn(make_partition([1]), 2, 2)\n"
         "except AssertionError:\n"
@@ -240,6 +244,52 @@ def test_plethystic_mn_check_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised 1\n"
+
+
+def test_plethystic_mn_signs_equal_greedy_kernel():
+    # the greedy kernel, walked down from each term, must find a chain
+    # to nu whose height parity is the coefficient plethystic_mn read
+    # off the chain it built upward
+    cases = terms = 0
+    for nu in partitions_up_to(7):
+        for r in range(1, 7):
+            nu_beads = _beads_of(nu.parts, len(nu) + r)
+            for m in range(1, 7):
+                if nu.size() + r * m > 22:
+                    continue
+                for lam, c in plethystic_mn(nu, r, m).items():
+                    heights = _greedy_heights(_beads_of(lam.parts, len(nu_beads)), nu_beads, r)
+                    assert heights is not None, (lam, nu, r, m)
+                    assert c == (-1) ** sum(heights), (lam, nu, r, m)
+                    terms += 1
+                cases += 1
+    assert (cases, terms) == (1187, 17494)
+    assert len(plethystic_mn(make_partition([]), 10, 10).terms) == 92378
+
+
+def test_plethystic_mn_support_equals_runner_raise_candidates():
+    # acceptance 11's range against the runner-by-runner generation
+    cases = 0
+    for nu in partitions_up_to(6):
+        for r in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4, 5):
+                if r * m + nu.size() > 18:
+                    continue
+                want = runner_raise_candidates(nu, r, m)
+                assert set(plethystic_mn(nu, r, m).terms) == want, (nu, r, m)
+                cases += 1
+    assert cases == 521
+
+
+def test_plethystic_mn_long_chains_and_long_columns():
+    # a chain of 5000 one-box strips and a column of 1200 beads, both past
+    # the interpreter's recursion limit
+    assert expansion_dict(plethystic_mn(make_partition([]), 1, 5000)) == {(5000,): 1}
+    column = make_partition([1] * 1200)
+    assert expansion_dict(plethystic_mn(column, 1, 1)) == {
+        (2,) + (1,) * 1199: 1,
+        (1,) * 1201: 1,
+    }
 
 
 def test_plethystic_mn_multi_single_factor():
