@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import Partition
 

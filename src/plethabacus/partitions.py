@@ -217,10 +217,14 @@ class SchurExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "SchurExpansion":
-        return cls(
-            data["degree"],
-            {make_partition(t["lambda"]): t["coeff"] for t in data["terms"]},
-        )
+        """Inverse of to_json; rejects a degree or coefficient that is not an int."""
+        terms = {}
+        for t in data["terms"]:
+            try:
+                terms[make_partition(t["lambda"])] = index(t["coeff"])
+            except TypeError:
+                raise ValueError(f"coeff must be an integer, got {t['coeff']!r}") from None
+        return cls(_integer("degree", data["degree"], 0), terms)
 
 
 def rim(shape: Partition) -> set[Box]:

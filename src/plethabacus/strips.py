@@ -23,19 +23,11 @@ from .abacus import (
     abacus_of,
     final_positions,
     inversion_sign,
-    movable_beads,
     partition_of,
     runner_beads,
     single_step_moves,
-    swap_bead,
 )
-from .partitions import (
-    Box,
-    Partition,
-    SkewPartition,
-    make_skew,
-    minimal_distinct_row,
-)
+from .partitions import Box, Partition, SkewPartition, make_skew
 
 
 class EmptySkew(ValueError):
@@ -111,13 +103,36 @@ def border_strip(outer: Partition, inner: Partition) -> BorderStrip:
     )
 
 
+def _bead_strip(
+    outer: Partition, beads: list[int], i: int, r: int, inner: list[int]
+) -> BorderStrip | None:
+    """The r-strip of outer removed by raising beads[i] r places, or None.
+
+    beads is outer's descending bead list; _raise_bead moves a copy, so
+    None means what it means there. The strip's top row is the moved
+    bead's row i + 1 and its bottom row is i + 1 + height.
+    """
+    moved = beads.copy()
+    height = _raise_bead(moved, i, beads[i] - r, inner)
+    if height is None:
+        return None
+    mu, last = _partition_of_beads(moved), i + 1 + height
+    top_right, bottom_left = Box(i + 1, outer.part(i + 1)), Box(last, mu.part(last) + 1)
+    return BorderStrip(outer, mu, height, top_right, bottom_left)
+
+
 def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
-    """All removable s-border-strips of shape, via movable abacus beads."""
-    a = abacus_of(shape)
-    out = []
-    for beta in sorted(movable_beads(a, s), reverse=True):
-        out.append(border_strip(shape, partition_of(swap_bead(a, beta, s))))
-    return out
+    """All removable s-border-strips of shape, one per bead with a gap s above.
+
+    Every descending list of b distinct positions dominates the packed
+    list of b beads, so against it a move fails only when its target is
+    negative or holds a bead.
+    """
+    _check_strip_length(s)
+    b = len(shape)
+    beads, packed = _beads_of(shape.parts, b), _beads_of((), b)
+    strips = (_bead_strip(shape, beads, i, s, packed) for i in range(b))
+    return [st for st in strips if st is not None]
 
 
 def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
@@ -125,21 +140,18 @@ def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
 
     d is the first row where the shapes differ. On the abacus the strip is
     the move of the bead encoding box (d, outer_d) one step of size r,
-    which exists exactly when the position r above that bead is a gap.
+    which exists exactly when the position r above that bead is a gap and
+    the moved bead list still dominates the inner shape's.
     """
+    _check_strip_length(r)
     if skew.is_empty():
         raise EmptySkew(f"{skew.outer}/{skew.inner} has no boxes")
-    lam, nu = skew.outer, skew.inner
-    d = minimal_distinct_row(skew)
-    b = max(len(lam), len(nu))
-    a = abacus_of(lam, b)
-    beta = lam.part(d) + b - d
-    if beta - r < 0 or a.has_bead(beta - r):
-        return None
-    mu = partition_of(swap_bead(a, beta, r))
-    if not mu.contains(nu):
-        return None
-    return border_strip(lam, mu)
+    lam = skew.outer
+    b = len(lam)
+    beads, inner = _beads_of(lam.parts, b), _beads_of(skew.inner.parts, b)
+    # bead i encodes row i + 1, so the first differing bead is row d's
+    i = next(j for j, (p, q) in enumerate(zip(beads, inner)) if p != q)
+    return _bead_strip(lam, beads, i, r, inner)
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,12 @@ from .abacus import _beads_of, _partition_of_beads
 from .partitions import Partition, SchurExpansion, _integer
 
 
-def _strip_additions(nu: Partition, s: int) -> list[tuple[Partition, int]]:
-    """All (lam, height) with lam/nu a border strip of length s, via down moves."""
-    beads = _beads_of(nu.parts, len(nu) + s)
-    occupied = set(beads)
-    out = []
-    for beta in beads:
-        if beta + s in occupied:
-            continue
-        lam = _partition_of_beads(sorted((occupied - {beta}) | {beta + s}, reverse=True))
-        height = sum(1 for p in beads if beta < p < beta + s)
-        out.append((lam, height))
-    return out
-
-
 def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
-    """Expansion of s_nu * p_r: one signed term per added r-border-strip."""
-    r = _integer("r", r, 1)
-    terms = {}
-    for lam, height in _strip_additions(nu, r):
-        if lam in terms:
-            raise AssertionError(f"{lam} added twice to {nu} with r={r}")
-        terms[lam] = (-1) ** height
-    return SchurExpansion._trusted(nu.size() + r, terms)
+    """Expansion of s_nu * p_r: plethystic_mn's walk with m = 1, as p_r o h_1 = p_r.
+
+    Each step adds an r-border-strip, signed by the beads its bead passes.
+    """
+    return plethystic_mn(nu, r, 1)
 
 
 def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:

@@ -10,7 +10,13 @@ import random
 import time
 
 import conftest
-from oracles import border_strips_geometric, is_ribbon, removal_sign_set, ribbon_height
+from oracles import (
+    border_strips_geometric,
+    is_ribbon,
+    removal_sign_set,
+    ribbon_additions,
+    ribbon_height,
+)
 from plethabacus.abacus import (
     BeadMove,
     IncompatibleAbaci,
@@ -24,6 +30,7 @@ from plethabacus.abacus import (
 from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
     Box,
+    SchurExpansion,
     make_partition,
     make_skew,
     partitions_of_size,
@@ -43,7 +50,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
-from plethabacus.symfunc import mn_multiply, plethystic_mn
+from plethabacus.symfunc import plethystic_mn
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -61,7 +68,7 @@ LABELS = {
     7: "abacus strips equal geometric rim search, |lambda|<=12, s<=6",
     8: "strip sign products match bead inversion parity on 1000 random chains",
     9: "Newton identity for complete and power sums, m<=6 in 8 variables",
-    10: "single-factor plethystic expansion reduces to the classical rule",
+    10: "single-factor plethystic expansion equals the ribbon rule, |nu|<=6, r<=4",
     11: "plethystic expansions equal the oracle, |nu|<=6, r<=4, m<=5, degree<=18",
     12: "plethystic expansions equal the oracle, |nu|<=2, r in {3,5}, 24<degree<=30",
     13: "plethystic expansions equal the oracle at five shapes of degree 36 to 42",
@@ -280,9 +287,15 @@ def test_09_newton_identity():
 
 @acceptance(10)
 def test_10_single_factor_reduces_to_classical_rule():
+    # p_r applied to h_1 is p_r: one term per r-ribbon added to nu, read
+    # off the diagrams with sign (-1)^height
+    cases = 0
     for nu in partitions_up_to(6):
         for r in (1, 2, 3, 4):
-            assert plethystic_mn(nu, r, 1) == mn_multiply(nu, r), (nu, r)
+            want = SchurExpansion(nu.size() + r, ribbon_additions(nu, r))
+            assert plethystic_mn(nu, r, 1) == want, (nu, r)
+            cases += 1
+    assert cases == 120
 
 
 @acceptance(11)

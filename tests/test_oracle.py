@@ -459,6 +459,24 @@ def test_numpy_is_imported_by_ring_only():
         assert ("numpy" in imported) == (path.name == "ring.py"), path.name
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports names only to re-export them; `from __future__`
+    # binds no name
+    package = Path(plethabacus.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = source_tree(path)
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(bound - used) == [], path.name
+
+
 def test_ring_names_are_forwarded_to_the_ring_objects():
     ring = plethabacus.ring
     public = {

@@ -157,6 +157,12 @@ def test_final_border_strip_is_unique():
         st = final_border_strip(skew, r)
         if candidates:
             assert st is not None and st.inner == candidates[0], (lam, nu, r)
+            # the height and the extreme boxes, read off the ribbon's boxes
+            assert st.height == ribbon_height(lam, st.inner), (lam, nu, r)
+            boxes = skew_boxes(lam, st.inner)
+            top_first = lambda box: (box[0], -box[1])
+            assert st.top_right == min(boxes, key=top_first), (lam, nu, r)
+            assert st.bottom_left == max(boxes, key=top_first), (lam, nu, r)
         else:
             assert st is None, (lam, nu, r)
 
@@ -247,6 +253,10 @@ def test_sgn_r_rejects_nonpositive_strip_length():
             r_decompose(make_skew(lam, nu), r)
         with pytest.raises(ValueError):
             sign_recursion_check(make_skew(lam, nu), r)
+        with pytest.raises(ValueError, match="strip length"):
+            final_border_strip(make_skew(lam, nu), r)
+        with pytest.raises(ValueError, match="strip length"):
+            border_strips(lam, r)
 
 
 def test_order_independent_sign_examples():
