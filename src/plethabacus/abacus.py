@@ -46,7 +46,7 @@ class BeadMove(NamedTuple):
     to_position: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abacus:
     bead_count: int
     bead_positions: frozenset[int]
@@ -85,13 +85,13 @@ def _partition_of_beads(beads: Sequence[int]) -> Partition:
     n = k = len(beads)
     while k and beads[k - 1] == n - k:
         k -= 1  # zero parts: beads packed at positions 0, 1, ... at the bottom
-    return Partition._trusted(tuple([beads[i] + i + 1 - n for i in range(k)]))
+    return Partition._trusted([beads[i] + i + 1 - n for i in range(k)])
 
 
 def normalized_abacus(shape: Partition) -> Abacus:
     """Abacus of a partition with exactly as many beads as parts."""
     b = len(shape)
-    return Abacus(b, frozenset(_beads_of(shape.parts, b)))
+    return Abacus(b, frozenset(_beads_of(shape, b)))
 
 
 def with_bead_count(abacus: Abacus, bead_count: int) -> Abacus:

@@ -77,7 +77,7 @@ class VerifyConfig:
 
 
 def _format_partition(p: Partition) -> str:
-    return "(" + ",".join(str(x) for x in p.parts) + ")"
+    return "(" + ",".join(str(x) for x in p) + ")"
 
 
 def _partition_arg(parts) -> str:
@@ -161,8 +161,8 @@ def _expansion_case(case) -> tuple[bool, str]:
     if ours == truth:
         return True, ""
     return False, (
-        f"expansion mismatch at nu={list(nu.parts)} r={r} m={m};"
-        f" repro: plethabacus expand --nu {_partition_arg(nu.parts)} --r {r} --m {m}"
+        f"expansion mismatch at nu={list(nu)} r={r} m={m};"
+        f" repro: plethabacus expand --nu {_partition_arg(nu)} --r {r} --m {m}"
     )
 
 
@@ -172,10 +172,10 @@ def _recursion_case(case) -> tuple[bool, str]:
     if report.lhs == report.rhs:
         return True, ""
     return False, (
-        f"recursion mismatch at lambda={list(lam.parts)} nu={list(nu.parts)} r={r}:"
+        f"recursion mismatch at lambda={list(lam)} nu={list(nu)} r={r}:"
         f" lhs={report.lhs} rhs={report.rhs};"
-        f" repro: plethabacus sgn --lambda {_partition_arg(lam.parts)}"
-        f" --nu {_partition_arg(nu.parts)} --r {r}"
+        f" repro: plethabacus sgn --lambda {_partition_arg(lam)}"
+        f" --nu {_partition_arg(nu)} --r {r}"
     )
 
 

@@ -85,7 +85,7 @@ def _residue_shapes(nu: Partition, r: int, degree: int) -> list[tuple]:
     blocks[t] lists the d_i of residue t in row order.
     """
     rows = degree
-    nu_p = nu.parts + (0,) * (rows - len(nu))
+    nu_p = nu + (0,) * (rows - len(nu))
     tail = [sum(nu_p[i + 1 :]) for i in range(rows)]
     free = [0] * r
     for j, p in enumerate(nu_p):
@@ -152,7 +152,7 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     # sorting the first k columns into residue order
     columns: list[list[int]] = [[] for _ in range(r)]
     column_inversions = [0]
-    for j, p in enumerate(nu.parts + (0,) * (degree - len(nu))):
+    for j, p in enumerate(nu + (0,) * (degree - len(nu))):
         t = (p - j) % r
         column_inversions.append(column_inversions[-1] + sum(map(len, columns[t + 1 :])))
         columns[t].append(p - j)

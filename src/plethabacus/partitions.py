@@ -8,7 +8,7 @@ parts as zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
+from operator import ge, index
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -47,50 +47,47 @@ class Box(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers; () is the empty partition."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers; () is the empty partition.
 
-    parts: tuple[int, ...] = ()
+    A Partition is the tuple of its parts: it compares, orders and hashes
+    as that plain tuple does, in C.
+    """
 
-    def __post_init__(self):
-        parts = tuple(_integers(self.parts))
-        object.__setattr__(self, "parts", parts)
-        if any(a < 1 for a in parts):
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        parts = tuple(_integers(parts))
+        if parts and min(parts) < 1:
             raise InvalidPartition(f"parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if not all(map(ge, parts, parts[1:])):
             raise InvalidPartition(f"parts must be weakly decreasing: {parts}")
+        return tuple.__new__(cls, parts)
 
     @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
         """A Partition of parts valid by construction, with no conversion or check.
 
-        Only for callers that build a tuple of positive weakly decreasing
-        ints themselves (bead lists, the enumerator, make_partition after
-        its own checks); input from outside goes through Partition(...)
-        or make_partition.
+        Only for callers that build positive weakly decreasing ints
+        themselves, as a tuple or a list (bead lists, the enumerator,
+        make_partition after its own checks); input from outside goes
+        through Partition(...) or make_partition.
         """
-        p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        return p
+        return tuple.__new__(cls, parts)
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+    parts = property(tuple, doc="The parts as a plain tuple; a copy, so hot loops use self.")
 
     def __repr__(self):
-        return f"Partition{self.parts!r}"
+        return f"Partition{tuple(self)!r}"
 
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the last row."""
         if i < 1:
             raise IndexError("rows are numbered from 1")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
+        return self[i - 1] if i <= len(self) else 0
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams, padding with zeros.
@@ -98,39 +95,37 @@ class Partition:
         Parts are positive, so other fits only if it has no more rows;
         the rows both shapes have are then compared pairwise.
         """
-        return len(self.parts) >= len(other.parts) and all(
-            a >= b for a, b in zip(self.parts, other.parts)
-        )
+        return len(self) >= len(other) and all(map(ge, self, other))
 
     def boxes(self) -> Iterator[Box]:
-        for i, row_len in enumerate(self.parts, start=1):
+        for i, row_len in enumerate(self, start=1):
             for j in range(1, row_len + 1):
                 yield Box(i, j)
 
     def has_box(self, row: int, column: int) -> bool:
-        return 1 <= row <= len(self.parts) and 1 <= column <= self.parts[row - 1]
+        return 1 <= row <= len(self) and 1 <= column <= self[row - 1]
 
     def to_json(self) -> list[int]:
-        return list(self.parts)
+        return list(self)
 
 
 def make_partition(parts: Iterable[int]) -> Partition:
     """Build a Partition, stripping trailing zeros; rejects bad input.
 
-    The input is converted and checked once here; the stripped tuple of
+    The input is converted and checked once here; the stripped list of
     positive weakly decreasing ints then needs no second pass.
     """
     seq = _integers(parts)
-    if any(a < 0 for a in seq):
+    if seq and min(seq) < 0:
         raise InvalidPartition(f"negative part in {seq}")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+    if not all(map(ge, seq, seq[1:])):
         raise InvalidPartition(f"not weakly decreasing: {seq}")
     while seq and seq[-1] == 0:
         seq.pop()
-    return Partition._trusted(tuple(seq))
+    return Partition._trusted(seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkewPartition:
     """A pair outer/inner with inner contained in outer."""
 
@@ -159,7 +154,7 @@ def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
     return SkewPartition(outer, inner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchurExpansion:
     """Finitely supported integer combination of Schur functions of one degree."""
 
@@ -188,7 +183,7 @@ class SchurExpansion:
 
     def items(self) -> list[tuple[Partition, int]]:
         """Terms sorted by partition, descending lexicographically."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def coefficient(self, p: Partition) -> int:
         return self.terms.get(p, 0)
@@ -205,7 +200,7 @@ class SchurExpansion:
         for p, c in self.items():
             sign = "+" if c > 0 else "-"
             mag = "" if abs(c) == 1 else f"{abs(c)} "
-            body = ",".join(str(x) for x in p.parts)
+            body = ",".join(map(str, p))
             bits.append(f"{sign} {mag}s[{body}]")
         return " ".join(bits)
 
@@ -217,11 +212,14 @@ class SchurExpansion:
 
     @classmethod
     def from_json(cls, data: dict) -> "SchurExpansion":
-        """Inverse of to_json; rejects a degree or coefficient that is not an int."""
+        """Inverse of to_json; rejects a non-int number and a repeated shape."""
         terms = {}
         for t in data["terms"]:
+            p = make_partition(t["lambda"])
+            if p in terms:
+                raise ValueError(f"shape {p.to_json()} is repeated")
             try:
-                terms[make_partition(t["lambda"])] = index(t["coeff"])
+                terms[p] = index(t["coeff"])
             except TypeError:
                 raise ValueError(f"coeff must be an integer, got {t['coeff']!r}") from None
         return cls(_integer("degree", data["degree"], 0), terms)

@@ -315,7 +315,7 @@ def poly_schur(lam: Partition, n: int) -> MultivariatePolynomial:
     sorted_codes = (-np.sort(-digits, axis=1) << shifts).sum(axis=1)
     shapes, labels = np.unique(sorted_codes, return_inverse=True)
     kostka = [
-        _kostka(lam.parts, tuple(e for e in _unpack(int(code), n, bits) if e))
+        _kostka(lam, tuple(e for e in _unpack(int(code), n, bits) if e))
         for code in shapes
     ]
     # np.array raises OverflowError on an int beyond int64 instead of wrapping
@@ -367,7 +367,7 @@ def _solve_kostka(degree: int, coefficient) -> SchurExpansion:
     """
     terms = {}
     for mu in partitions_of_size(degree):
-        c = coefficient(mu) - sum(d * _kostka(lam.parts, mu.parts) for lam, d in terms.items())
+        c = coefficient(mu) - sum(d * _kostka(lam, mu) for lam, d in terms.items())
         if c:
             terms[mu] = c
     return SchurExpansion(degree, terms)
@@ -388,7 +388,7 @@ def schur_decompose(f: MultivariatePolynomial) -> SchurExpansion:
     if f.n < degree:
         raise TooFewVariables(f"{f.n} variables < degree {degree}")
     _check_symmetric(f)
-    return _solve_kostka(degree, lambda mu: f.coefficient(mu.parts + (0,) * (f.n - len(mu))))
+    return _solve_kostka(degree, lambda mu: f.coefficient(mu + (0,) * (f.n - len(mu))))
 
 
 def newton_check(m: int, n: int) -> bool:

@@ -47,7 +47,7 @@ def _check_strip_length(r: int) -> None:
         raise ValueError(f"strip length {r} must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BorderStrip:
     """A connected rim ribbon outer/inner, with its extreme boxes and height."""
 
@@ -130,7 +130,7 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     """
     _check_strip_length(s)
     b = len(shape)
-    beads, packed = _beads_of(shape.parts, b), _beads_of((), b)
+    beads, packed = _beads_of(shape, b), _beads_of((), b)
     strips = (_bead_strip(shape, beads, i, s, packed) for i in range(b))
     return [st for st in strips if st is not None]
 
@@ -148,13 +148,13 @@ def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
         raise EmptySkew(f"{skew.outer}/{skew.inner} has no boxes")
     lam = skew.outer
     b = len(lam)
-    beads, inner = _beads_of(lam.parts, b), _beads_of(skew.inner.parts, b)
+    beads, inner = _beads_of(lam, b), _beads_of(skew.inner, b)
     # bead i encodes row i + 1, so the first differing bead is row d's
     i = next(j for j, (p, q) in enumerate(zip(beads, inner)) if p != q)
     return _bead_strip(lam, beads, i, r, inner)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     """A maximal chain of final r-strip removals from outer down to inner."""
 
@@ -300,7 +300,7 @@ def sgn_r(skew: SkewPartition, r: int) -> int:
         return 0
     lam, nu = skew.outer, skew.inner
     b = len(lam)
-    return _chain_sign(_beads_of(lam.parts, b), _beads_of(nu.parts, b), r)
+    return _chain_sign(_beads_of(lam, b), _beads_of(nu, b), r)
 
 
 class RunnerType(enum.Enum):
@@ -365,7 +365,7 @@ def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
     return tuple(classify_runner(a, c, r, t) for t in range(r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairingWitness:
     """Data pairing two cancelling summands of the sign recursion.
 
@@ -476,7 +476,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     return witnesses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecursionSummand:
     """One term sgn(outer/mu) * sgn_r(mu/inner) of the sign recursion."""
 
@@ -490,7 +490,7 @@ class RecursionSummand:
         return self.strip_sign * self.tail_sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignRecursionReport:
     """Both sides of m * sgn_r = sum over strips, with every summand listed."""
 
@@ -536,8 +536,8 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     lam, nu = skew.outer, skew.inner
     m = skew.size() // r
     b = max(len(lam), len(nu), 1)
-    beads = _beads_of(lam.parts, b)
-    inner = _beads_of(nu.parts, b)
+    beads = _beads_of(lam, b)
+    inner = _beads_of(nu, b)
     occupied = set(beads)
     # lam contains nu, so beads already dominates inner entrywise
     summands = []

@@ -49,7 +49,7 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     r, m = _integer("r", r, 1), _integer("m", m, 0)
     if m == 0:
         return SchurExpansion._trusted(nu.size(), {nu: 1})
-    nu_beads = _beads_of(nu.parts, len(nu) + r)
+    nu_beads = _beads_of(nu, len(nu) + r)
     n = len(nu_beads)
     terms: dict[Partition, int] = {}
     # depth first on an explicit stack: a recursion would be m calls deep

@@ -86,6 +86,21 @@ def test_expansion_from_json_rejects_inexact_numbers():
             SchurExpansion.from_json({"degree": degree, "terms": [one]})
 
 
+def test_expansion_from_json_rejects_a_repeated_shape():
+    for degree, first, second, shape in [
+        (1, [1], [1], r"\[1\]"),
+        (2, [1, 1], [1, 1, 0], r"\[1, 1\]"),
+        (2, [2, 0], [2], r"\[2\]"),
+    ]:
+        terms = [{"lambda": first, "coeff": 1}, {"lambda": second, "coeff": 2}]
+        with pytest.raises(ValueError, match=rf"shape {shape} is repeated"):
+            SchurExpansion.from_json({"degree": degree, "terms": terms})
+    # a zero coefficient still names its shape once
+    terms = [{"lambda": [1], "coeff": 0}, {"lambda": [1], "coeff": 0}]
+    with pytest.raises(ValueError, match="repeated"):
+        SchurExpansion.from_json({"degree": 1, "terms": terms})
+
+
 def test_expansion_equality_ignores_insertion_order():
     a = SchurExpansion(2, {make_partition([2]): 1, make_partition([1, 1]): -1})
     b = SchurExpansion(2, {make_partition([1, 1]): -1, make_partition([2]): 1})

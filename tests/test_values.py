@@ -1,0 +1,151 @@
+"""Value semantics of the library's records: tuples, slots, pickling, errors."""
+
+import copy
+import pickle
+
+import pytest
+
+from plethabacus.abacus import Abacus, abacus_of
+from plethabacus.partitions import (
+    InvalidPartition,
+    NotContained,
+    Partition,
+    SchurExpansion,
+    make_partition,
+    make_skew,
+)
+from plethabacus.strips import border_strips, pairing_witness, r_decompose, sign_recursion_check
+from plethabacus.symfunc import plethystic_mn
+
+# the smallest shape pair with one type II runner next to a type I runner
+LAM2 = make_partition([10, 10, 8, 5, 5, 5, 1])
+NU2 = make_partition([4, 4, 4, 2, 2])
+
+
+def one_of_each_record():
+    """An instance of every value type that has no per-instance dict."""
+    lam, nu = make_partition([5, 1]), make_partition([2, 1])
+    report = sign_recursion_check(make_skew(lam, nu), 3)
+    assert report.summands and report.sgn_r_value
+    return [
+        lam,
+        make_partition([]),
+        make_skew(lam, nu),
+        plethystic_mn(nu, 2, 2),
+        SchurExpansion(0, {}),
+        abacus_of(lam, 5),
+        border_strips(lam, 3)[0],
+        r_decompose(make_skew(lam, nu), 3),
+        pairing_witness(abacus_of(LAM2, 9), abacus_of(NU2, 9), 2)[0],
+        report.summands[0],
+        report,
+    ]
+
+
+def test_records_round_trip_through_pickle_and_copy():
+    for value in one_of_each_record():
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value, (value, protocol)
+        for clone in (copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value, value
+
+
+def test_records_have_no_instance_dict():
+    types = set()
+    for value in one_of_each_record():
+        types.add(type(value).__name__)
+        assert not hasattr(value, "__dict__"), type(value)
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+    assert types == {
+        "Partition",
+        "SkewPartition",
+        "SchurExpansion",
+        "Abacus",
+        "BorderStrip",
+        "Decomposition",
+        "PairingWitness",
+        "RecursionSummand",
+        "SignRecursionReport",
+    }
+
+
+def test_partition_is_its_tuple_of_parts():
+    p = Partition((2, 1))
+    assert isinstance(p, tuple)
+    assert p == (2, 1) and hash(p) == hash((2, 1))
+    assert p.parts == (2, 1) and type(p.parts) is tuple
+    assert make_partition([2, 1, 0]) == p and Partition() == ()
+    assert Partition((3, 1)) > p > Partition((1, 1, 1))
+    assert sorted([Partition((1, 1)), Partition((2,))]) == [(1, 1), (2,)]
+    assert p + (0,) == (2, 1, 0) and type(p + (0,)) is tuple
+    assert {p: 1}[(2, 1)] == 1
+
+
+def test_repr_is_unchanged():
+    assert repr(Partition((2, 1))) == "Partition(2, 1)"
+    assert repr(Partition((3,))) == "Partition(3,)"
+    assert repr(make_partition([])) == "Partition()"
+    assert str(make_partition([4, 2])) == "Partition(4, 2)"
+    assert repr(make_skew(Partition((2, 1)), Partition((1,)))) == (
+        "SkewPartition(outer=Partition(2, 1), inner=Partition(1,))"
+    )
+    assert repr(Abacus(2, frozenset({0, 3}))) == (
+        "Abacus(bead_count=2, bead_positions=frozenset({0, 3}))"
+    )
+
+
+INTEGERS = "parts must be integers: '{}' object cannot be interpreted as an integer"
+
+# the class and message each bad input raised before Partition became a tuple
+CONSTRUCTOR_ERRORS = [
+    ((2, -1), "parts must be positive: (2, -1)"),
+    ((1, 2), "parts must be weakly decreasing: (1, 2)"),
+    ((1.5,), INTEGERS.format("float")),
+    ((2, 1.0), INTEGERS.format("float")),
+    ("21", INTEGERS.format("str")),
+    (("2",), INTEGERS.format("str")),
+    ((1, -1, 2), "parts must be positive: (1, -1, 2)"),
+    ((2, 0), "parts must be positive: (2, 0)"),
+    (3, "parts must be integers: 'int' object is not iterable"),
+]
+MAKE_PARTITION_ERRORS = [
+    ([-1], "negative part in [-1]"),
+    ([2, -1], "negative part in [2, -1]"),
+    ([1, 2], "not weakly decreasing: [1, 2]"),
+    ([1.5], INTEGERS.format("float")),
+    ([2, 1.0], INTEGERS.format("float")),
+    ("21", INTEGERS.format("str")),
+    (["2"], INTEGERS.format("str")),
+    ([1, -1, 2], "negative part in [1, -1, 2]"),
+    ([1, 0, 1], "not weakly decreasing: [1, 0, 1]"),
+    (None, "parts must be integers: 'NoneType' object is not iterable"),
+]
+SKEW_ERRORS = [
+    ([1], [2], "Partition(2,) is not contained in Partition(1,)"),
+    ([2, 1], [1, 1, 1], "Partition(1, 1, 1) is not contained in Partition(2, 1)"),
+    ([], [1], "Partition(1,) is not contained in Partition()"),
+    ([3, 1], [2, 2], "Partition(2, 2) is not contained in Partition(3, 1)"),
+]
+
+
+@pytest.mark.parametrize("parts, message", CONSTRUCTOR_ERRORS)
+def test_partition_constructor_errors_are_unchanged(parts, message):
+    with pytest.raises(InvalidPartition) as err:
+        Partition(parts)
+    assert type(err.value) is InvalidPartition and str(err.value) == message
+
+
+@pytest.mark.parametrize("parts, message", MAKE_PARTITION_ERRORS)
+def test_make_partition_errors_are_unchanged(parts, message):
+    with pytest.raises(InvalidPartition) as err:
+        make_partition(parts)
+    assert type(err.value) is InvalidPartition and str(err.value) == message
+
+
+@pytest.mark.parametrize("outer, inner, message", SKEW_ERRORS)
+def test_make_skew_errors_are_unchanged(outer, inner, message):
+    with pytest.raises(NotContained) as err:
+        make_skew(make_partition(outer), make_partition(inner))
+    assert type(err.value) is NotContained and str(err.value) == message
