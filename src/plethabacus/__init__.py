@@ -4,9 +4,12 @@ The package has two independent halves that check each other: the
 combinatorial side (partitions, abacus, strips, symfunc) computes signed
 expansions through border-strip removals, while oracle recomputes the
 same expansions with one bialternant determinant per Schur function.
-Neither imports numpy: the dense polynomial ring (`ring`) is loaded on
-first access to one of its public names, such as schur_decompose. The
-command line lives in `cli`, which importing the package does not load.
+Every public function and class of those five modules is exported here,
+and nothing else of theirs: helpers that only the tests use live in the
+tests. Neither half imports numpy: the dense polynomial ring (`ring`) is
+loaded on first access to one of its public names, such as
+schur_decompose. The command line lives in `cli`, which importing the
+package does not load.
 """
 
 from .abacus import (
@@ -16,20 +19,12 @@ from .abacus import (
     BeadMove,
     IllegalMove,
     IncompatibleAbaci,
-    NotMovable,
     abacus_of,
-    apply_moves,
     final_positions,
     inversion_sign,
-    movable_beads,
-    normalized_abacus,
     partition_of,
     runner_beads,
-    runner_positions,
     single_step_moves,
-    strip_height,
-    swap_bead,
-    with_bead_count,
 )
 from .oracle import RING_NAMES as _RING_NAMES
 from .oracle import oracle_plethystic_mn
@@ -42,12 +37,9 @@ from .partitions import (
     SkewPartition,
     make_partition,
     make_skew,
-    minimal_distinct_row,
     partitions_of_size,
     partitions_of_size_containing,
     partitions_up_to,
-    rim,
-    subpartitions_of_size,
 )
 from .strips import (
     BorderStrip,
@@ -56,17 +48,15 @@ from .strips import (
     NotDivisible,
     NotTypeIICase,
     PairingWitness,
+    RecursionSummand,
     RunnerType,
     SignRecursionReport,
-    border_strip,
     border_strips,
     classify_runner,
-    decomposition_moves,
     final_border_strip,
     order_independent_sign,
     pairing_witness,
     r_decompose,
-    runner_is_decomposable,
     runner_profile,
     sgn_r,
     sign_recursion_check,

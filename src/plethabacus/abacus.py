@@ -21,10 +21,6 @@ class BeadCountTooSmall(ValueError):
     """Requested bead count is below the number of parts."""
 
 
-class NotMovable(ValueError):
-    """No bead at the source, or no gap at the destination."""
-
-
 class BadRunner(ValueError):
     """Runner index outside 0..r-1."""
 
@@ -88,82 +84,18 @@ def _partition_of_beads(beads: Sequence[int]) -> Partition:
     return Partition._trusted([beads[i] + i + 1 - n for i in range(k)])
 
 
-def normalized_abacus(shape: Partition) -> Abacus:
-    """Abacus of a partition with exactly as many beads as parts."""
-    b = len(shape)
-    return Abacus(b, frozenset(_beads_of(shape, b)))
-
-
-def with_bead_count(abacus: Abacus, bead_count: int) -> Abacus:
-    """Re-encode with more beads: shift every bead and pack new beads at the top."""
-    delta = bead_count - abacus.bead_count
-    if delta < 0:
-        raise BeadCountTooSmall(
-            f"cannot go from {abacus.bead_count} beads down to {bead_count}"
-        )
-    shifted = {p + delta for p in abacus.bead_positions}
-    shifted.update(range(delta))
-    return Abacus(bead_count, frozenset(shifted))
-
-
 def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
     """Abacus of a partition at a chosen bead count (defaults to the part count)."""
-    a = normalized_abacus(shape)
     if bead_count is None:
-        return a
-    if bead_count < len(shape):
+        bead_count = len(shape)
+    elif bead_count < len(shape):
         raise BeadCountTooSmall(f"{bead_count} beads < {len(shape)} parts")
-    return with_bead_count(a, bead_count)
+    return Abacus(bead_count, frozenset(_beads_of(shape, bead_count)))
 
 
 def partition_of(abacus: Abacus) -> Partition:
     """Partition encoded by an abacus; inverse of abacus_of at any bead count."""
     return _partition_of_beads(sorted(abacus.bead_positions, reverse=True))
-
-
-def movable_beads(abacus: Abacus, s: int) -> set[int]:
-    """Beads that can jump s positions up into a gap."""
-    if s < 1:
-        raise ValueError("step must be positive")
-    return {
-        p
-        for p in abacus.bead_positions
-        if p >= s and (p - s) not in abacus.bead_positions
-    }
-
-
-def _check_movable(abacus: Abacus, beta: int, s: int) -> None:
-    """Raise unless beta is one of movable_beads(abacus, s)."""
-    if s < 1:
-        raise ValueError("step must be positive")
-    beads = abacus.bead_positions
-    if beta not in beads or beta < s or (beta - s) in beads:
-        raise NotMovable(f"no movable bead at {beta} with step {s}")
-
-
-def swap_bead(abacus: Abacus, beta: int, s: int) -> Abacus:
-    """Move the bead at beta up to the gap at beta - s."""
-    _check_movable(abacus, beta, s)
-    beads = set(abacus.bead_positions)
-    beads.remove(beta)
-    beads.add(beta - s)
-    return Abacus(abacus.bead_count, frozenset(beads))
-
-
-def strip_height(abacus: Abacus, beta: int, s: int) -> int:
-    """Beads strictly between beta - s and beta; the height of the removed strip."""
-    _check_movable(abacus, beta, s)
-    return sum(1 for p in abacus.bead_positions if beta - s < p < beta)
-
-
-def runner_positions(abacus: Abacus, r: int, t: int) -> tuple[bool, ...]:
-    """Occupancy of runner t: positions t, t+r, t+2r, ... up to max bead + r."""
-    if r < 1:
-        raise ValueError("need at least one runner")
-    if not 0 <= t < r:
-        raise BadRunner(f"runner {t} not in 0..{r - 1}")
-    top = max(abacus.bead_positions, default=-1) + r
-    return tuple(p in abacus.bead_positions for p in range(t, top + 1, r))
 
 
 def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
@@ -173,8 +105,8 @@ def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
     return sorted(p for p in abacus.bead_positions if p % r == t)
 
 
-def _apply_tracked(abacus: Abacus, moves: Sequence[BeadMove]):
-    """Apply moves, tracking each bead by its original position."""
+def final_positions(abacus: Abacus, moves: Sequence[BeadMove]) -> dict[int, int]:
+    """Apply moves left to right; map each bead's original position to its final one."""
     origin = {p: p for p in abacus.bead_positions}
     for i, (src, dst) in enumerate(moves):
         if src not in origin:
@@ -184,20 +116,7 @@ def _apply_tracked(abacus: Abacus, moves: Sequence[BeadMove]):
         if dst < 0:
             raise IllegalMove(i, f"negative position {dst}")
         origin[dst] = origin.pop(src)
-    final = Abacus(abacus.bead_count, frozenset(origin))
-    return final, {orig: pos for pos, orig in origin.items()}
-
-
-def apply_moves(abacus: Abacus, moves: Sequence[BeadMove]) -> Abacus:
-    """Apply a sequence of bead moves left to right."""
-    final, _ = _apply_tracked(abacus, moves)
-    return final
-
-
-def final_positions(abacus: Abacus, moves: Sequence[BeadMove]) -> dict[int, int]:
-    """Map each bead's original position to its final position."""
-    _, finals = _apply_tracked(abacus, moves)
-    return finals
+    return {orig: pos for pos, orig in origin.items()}
 
 
 def inversion_sign(abacus: Abacus, moves: Sequence[BeadMove]):

@@ -1,4 +1,4 @@
-"""Partitions, skew shapes, rims of Young diagrams and Schur expansions.
+"""Partitions, skew shapes, their enumerators and Schur expansions.
 
 Conventions: partitions store no trailing zeros, boxes are 1-based with
 row 1 at the top (English orientation), and comparisons treat missing
@@ -154,7 +154,7 @@ def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
     return SkewPartition(outer, inner)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SchurExpansion:
     """Finitely supported integer combination of Schur functions of one degree."""
 
@@ -225,19 +225,6 @@ class SchurExpansion:
         return cls(_integer("degree", data["degree"], 0), terms)
 
 
-def rim(shape: Partition) -> set[Box]:
-    """Boxes (i, j) of the diagram with (i+1, j+1) outside it."""
-    return {b for b in shape.boxes() if not shape.has_box(b.row + 1, b.column + 1)}
-
-
-def minimal_distinct_row(skew: SkewPartition) -> int | None:
-    """Least row index where outer and inner differ, None for the empty skew."""
-    for i in range(1, len(skew.outer) + 1):
-        if skew.outer.part(i) > skew.inner.part(i):
-            return i
-    return None
-
-
 def partitions_of_size(n: int) -> Iterator[Partition]:
     """All partitions of n, in descending lexicographic order."""
 
@@ -266,10 +253,3 @@ def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partitio
     for lam in partitions_of_size(n):
         if lam.contains(inner):
             yield lam
-
-
-def subpartitions_of_size(shape: Partition, k: int) -> Iterator[Partition]:
-    """Partitions of k contained in shape."""
-    for mu in partitions_of_size(k):
-        if shape.contains(mu):
-            yield mu

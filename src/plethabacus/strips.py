@@ -27,7 +27,7 @@ from .abacus import (
     runner_beads,
     single_step_moves,
 )
-from .partitions import Box, Partition, SkewPartition, make_skew
+from .partitions import Box, Partition, SkewPartition, _integer, make_skew
 
 
 class EmptySkew(ValueError):
@@ -42,14 +42,9 @@ class NotDivisible(ValueError):
     """Skew size is not a multiple of the strip length."""
 
 
-def _check_strip_length(r: int) -> None:
-    if r < 1:
-        raise ValueError(f"strip length {r} must be >= 1")
-
-
 @dataclass(frozen=True, slots=True)
 class BorderStrip:
-    """A connected rim ribbon outer/inner, with its extreme boxes and height."""
+    """A connected border ribbon outer/inner, with its extreme boxes and height."""
 
     outer: Partition
     inner: Partition
@@ -73,34 +68,6 @@ class BorderStrip:
             "top_right": list(self.top_right),
             "bottom_left": list(self.bottom_left),
         }
-
-
-def is_border_strip_pair(outer: Partition, inner: Partition) -> bool:
-    """Whether outer/inner differ by one nonempty connected ribbon (no 2x2 block)."""
-    if not outer.contains(inner):
-        return False
-    rows = [i for i in range(1, len(outer) + 1) if outer.part(i) > inner.part(i)]
-    if not rows:
-        return False
-    if rows != list(range(rows[0], rows[-1] + 1)):
-        return False
-    # adjacent rows of a ribbon overlap in exactly one column
-    return all(inner.part(i) == outer.part(i + 1) - 1 for i in rows[:-1])
-
-
-def border_strip(outer: Partition, inner: Partition) -> BorderStrip:
-    """Build a BorderStrip from its two shapes, measuring height from the rows."""
-    if not is_border_strip_pair(outer, inner):
-        raise ValueError(f"{outer}/{inner} is not a border strip")
-    rows = [i for i in range(1, len(outer) + 1) if outer.part(i) > inner.part(i)]
-    d, last = rows[0], rows[-1]
-    return BorderStrip(
-        outer=outer,
-        inner=inner,
-        height=last - d,
-        top_right=Box(d, outer.part(d)),
-        bottom_left=Box(last, inner.part(last) + 1),
-    )
 
 
 def _bead_strip(
@@ -128,7 +95,7 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     list of b beads, so against it a move fails only when its target is
     negative or holds a bead.
     """
-    _check_strip_length(s)
+    s = _integer("strip length", s, 1)
     b = len(shape)
     beads, packed = _beads_of(shape, b), _beads_of((), b)
     strips = (_bead_strip(shape, beads, i, s, packed) for i in range(b))
@@ -143,7 +110,7 @@ def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
     which exists exactly when the position r above that bead is a gap and
     the moved bead list still dominates the inner shape's.
     """
-    _check_strip_length(r)
+    r = _integer("strip length", r, 1)
     if skew.is_empty():
         raise EmptySkew(f"{skew.outer}/{skew.inner} has no boxes")
     lam = skew.outer
@@ -180,7 +147,7 @@ class Decomposition:
 
 def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     """Greedy final-strip chain from outer to inner, or None if it gets stuck."""
-    _check_strip_length(r)
+    r = _integer("strip length", r, 1)
     if skew.size() % r != 0:
         return None
     nu = skew.inner
@@ -252,19 +219,6 @@ def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | N
         heights.append(height)
 
 
-def decomposition_moves(dec: Decomposition, bead_count: int | None = None) -> list[BeadMove]:
-    """Bead moves realizing the chain at a fixed bead count."""
-    b = bead_count if bead_count is not None else max(len(p) for p in dec.chain)
-    moves = []
-    for before, after in zip(dec.chain, dec.chain[1:]):
-        src = abacus_of(before, b).bead_positions
-        dst = abacus_of(after, b).bead_positions
-        (f,) = src - dst
-        (t,) = dst - src
-        moves.append(BeadMove(f, t))
-    return moves
-
-
 def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     """Common sign of every complete r-strip removal order from lam to nu, else 0.
 
@@ -273,7 +227,7 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     which is when single_step_moves finds a move sequence; the sign is
     then the inversion sign of that sequence.
     """
-    _check_strip_length(r)
+    r = _integer("strip length", r, 1)
     if not lam.contains(nu) or (lam.size() - nu.size()) % r != 0:
         return 0
     b = max(len(lam), len(nu))
@@ -295,7 +249,7 @@ def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
 
 def sgn_r(skew: SkewPartition, r: int) -> int:
     """Sign of the final-strip chain, or 0 when the skew is not r-decomposable."""
-    _check_strip_length(r)
+    r = _integer("strip length", r, 1)
     if skew.size() % r != 0:
         return 0
     lam, nu = skew.outer, skew.inner
@@ -336,12 +290,6 @@ def _is_decomposable_runner(beads: set[int], src_all: set[int], dst: list[int], 
             return False
         prev = beta
     return True
-
-
-def runner_is_decomposable(a: Abacus, c: Abacus, r: int, t: int) -> bool:
-    """Whether runner t of c arises from runner t of a by interleaved final moves."""
-    src, dst = _runner_move_data(a, c, r, t)
-    return _is_decomposable_runner(set(src), a.bead_positions, dst, r)
 
 
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
@@ -530,7 +478,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     next passed bead, which sat below the old free target, or the lower
     new target).
     """
-    _check_strip_length(r)
+    r = _integer("strip length", r, 1)
     if skew.size() % r != 0:
         raise NotDivisible(f"size {skew.size()} not divisible by {r}")
     lam, nu = skew.outer, skew.inner

@@ -3,33 +3,145 @@
 Most helpers here recompute combinatorial facts from first principles on
 raw box sets (connectivity walks, tableau fillings, exhaustive recursion)
 so that library results can be checked against a second implementation
-that shares no code with the abacus machinery. The rest are slower
-routes to library results, kept as references: a search of all
-subshapes for border strips, an exhaustive search for the type II pair
-set, the oracle's expansion through Kostka numbers or through one full
+that shares no code with the abacus machinery. Others are slower routes
+to library results, kept as references: a search of all subshapes for
+border strips, an exhaustive search for the type II pair set, the
+oracle's expansion through Kostka numbers or through one full
 bialternant matrix per partition of the degree, and the runner-by-runner
 generation of plethystic_mn's shapes.
+
+The rest are small readings of shapes and abaci that no library path
+needs, kept for the checks that use them as references: the subshapes
+of a given size, the first row where a skew shape's two shapes differ,
+a border strip read off its two shapes' rows, the single bead move of
+one strip removal with its height, and a move sequence applied to an
+abacus or read off a decomposition's chain.
 """
 
 from collections import Counter
+from typing import Iterator, Sequence
 
-from plethabacus.abacus import Abacus, _beads_of, _partition_of_beads, runner_beads
+from plethabacus.abacus import (
+    Abacus,
+    BeadMove,
+    _beads_of,
+    _partition_of_beads,
+    abacus_of,
+    final_positions,
+    runner_beads,
+)
 from plethabacus.oracle import _det
 from plethabacus.partitions import (
+    Box,
     Partition,
     SchurExpansion,
+    SkewPartition,
     make_partition,
     partitions_of_size,
     partitions_of_size_containing,
-    subpartitions_of_size,
 )
 from plethabacus.ring import _kostka, _solve_kostka
-from plethabacus.strips import (
-    BorderStrip,
-    border_strip,
-    is_border_strip_pair,
-    runner_is_decomposable,
-)
+from plethabacus.strips import BorderStrip, Decomposition, RunnerType, classify_runner
+
+
+def subpartitions_of_size(shape: Partition, k: int) -> Iterator[Partition]:
+    """Partitions of k contained in shape."""
+    for mu in partitions_of_size(k):
+        if shape.contains(mu):
+            yield mu
+
+
+def minimal_distinct_row(skew: SkewPartition) -> int | None:
+    """Least row index where outer and inner differ, None for the empty skew."""
+    for i in range(1, len(skew.outer) + 1):
+        if skew.outer.part(i) > skew.inner.part(i):
+            return i
+    return None
+
+
+def is_border_strip_pair(outer: Partition, inner: Partition) -> bool:
+    """Whether outer/inner differ by one nonempty connected ribbon (no 2x2 block)."""
+    if not outer.contains(inner):
+        return False
+    rows = [i for i in range(1, len(outer) + 1) if outer.part(i) > inner.part(i)]
+    if not rows:
+        return False
+    if rows != list(range(rows[0], rows[-1] + 1)):
+        return False
+    # adjacent rows of a ribbon overlap in exactly one column
+    return all(inner.part(i) == outer.part(i + 1) - 1 for i in rows[:-1])
+
+
+def border_strip(outer: Partition, inner: Partition) -> BorderStrip:
+    """Build a BorderStrip from its two shapes, measuring height from the rows."""
+    if not is_border_strip_pair(outer, inner):
+        raise ValueError(f"{outer}/{inner} is not a border strip")
+    rows = [i for i in range(1, len(outer) + 1) if outer.part(i) > inner.part(i)]
+    d, last = rows[0], rows[-1]
+    return BorderStrip(
+        outer=outer,
+        inner=inner,
+        height=last - d,
+        top_right=Box(d, outer.part(d)),
+        bottom_left=Box(last, inner.part(last) + 1),
+    )
+
+
+class NotMovable(ValueError):
+    """No bead at the source, or no gap at the destination."""
+
+
+def movable_beads(abacus: Abacus, s: int) -> set[int]:
+    """Beads that can jump s positions up into a gap."""
+    if s < 1:
+        raise ValueError("step must be positive")
+    return {
+        p
+        for p in abacus.bead_positions
+        if p >= s and (p - s) not in abacus.bead_positions
+    }
+
+
+def _check_movable(abacus: Abacus, beta: int, s: int) -> None:
+    """Raise unless beta is one of movable_beads(abacus, s)."""
+    if s < 1:
+        raise ValueError("step must be positive")
+    beads = abacus.bead_positions
+    if beta not in beads or beta < s or (beta - s) in beads:
+        raise NotMovable(f"no movable bead at {beta} with step {s}")
+
+
+def swap_bead(abacus: Abacus, beta: int, s: int) -> Abacus:
+    """Move the bead at beta up to the gap at beta - s."""
+    _check_movable(abacus, beta, s)
+    beads = set(abacus.bead_positions)
+    beads.remove(beta)
+    beads.add(beta - s)
+    return Abacus(abacus.bead_count, frozenset(beads))
+
+
+def strip_height(abacus: Abacus, beta: int, s: int) -> int:
+    """Beads strictly between beta - s and beta; the height of the removed strip."""
+    _check_movable(abacus, beta, s)
+    return sum(1 for p in abacus.bead_positions if beta - s < p < beta)
+
+
+def apply_moves(abacus: Abacus, moves: Sequence[BeadMove]) -> Abacus:
+    """Apply a sequence of bead moves left to right; IllegalMove names a bad one."""
+    return Abacus(abacus.bead_count, frozenset(final_positions(abacus, moves).values()))
+
+
+def decomposition_moves(dec: Decomposition, bead_count: int | None = None) -> list[BeadMove]:
+    """Bead moves realizing the chain at a fixed bead count."""
+    b = bead_count if bead_count is not None else max(len(p) for p in dec.chain)
+    moves = []
+    for before, after in zip(dec.chain, dec.chain[1:]):
+        src = abacus_of(before, b).bead_positions
+        dst = abacus_of(after, b).bead_positions
+        (f,) = src - dst
+        (t,) = dst - src
+        moves.append(BeadMove(f, t))
+    return moves
 
 
 def skew_boxes(outer: Partition, inner: Partition) -> set:
@@ -161,22 +273,6 @@ def random_partition(rng, max_size: int) -> Partition:
     return options[rng.randrange(len(options))]
 
 
-def young_diagram_rows(boxes: set) -> list:
-    """Row lengths of a box set, or None if it is not a Young diagram."""
-    if not boxes:
-        return []
-    rows = max(i for i, _ in boxes)
-    lengths = []
-    for i in range(1, rows + 1):
-        cols = {j for bi, j in boxes if bi == i}
-        if cols != set(range(1, len(cols) + 1)):
-            return None
-        lengths.append(len(cols))
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        return None
-    return lengths
-
-
 def border_strips_geometric(shape: Partition, s: int) -> list[BorderStrip]:
     """Brute-force s-strip search over subshapes; independent of the abacus."""
     out = []
@@ -201,7 +297,7 @@ def brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int) -> frozenset:
             if gamma in a.bead_positions:
                 continue
             swapped = Abacus(a.bead_count, (a.bead_positions - {eps}) | {gamma})
-            if runner_is_decomposable(swapped, c, r, t):
+            if classify_runner(swapped, c, r, t) is RunnerType.I:
                 pairs.add((eps, gamma))
     return frozenset(pairs)
 

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ribbon_height, ribbon_removals
+from oracles import (
+    NotMovable,
+    apply_moves,
+    movable_beads,
+    ribbon_height,
+    ribbon_removals,
+    strip_height,
+    swap_bead,
+)
 from plethabacus.abacus import (
     Abacus,
     BadRunner,
@@ -10,20 +18,12 @@ from plethabacus.abacus import (
     BeadMove,
     IllegalMove,
     IncompatibleAbaci,
-    NotMovable,
     abacus_of,
-    apply_moves,
     final_positions,
     inversion_sign,
-    movable_beads,
-    normalized_abacus,
     partition_of,
     runner_beads,
-    runner_positions,
     single_step_moves,
-    strip_height,
-    swap_bead,
-    with_bead_count,
 )
 from plethabacus.abacus import _beads_of, _partition_of_beads
 from plethabacus.partitions import make_partition, partitions_up_to
@@ -51,19 +51,20 @@ partition_strategy = st.lists(st.integers(1, 9), max_size=7).map(
 
 
 def test_normalized_abacus_beta_numbers():
-    a = normalized_abacus(make_partition([2, 1]))
+    # by default abacus_of gives the normalized abacus: one bead per part
+    a = abacus_of(make_partition([2, 1]))
     assert a.bead_count == 2
     assert a.bead_positions == frozenset({1, 3})
 
 
 def test_normalized_abacus_empty():
-    a = normalized_abacus(make_partition([]))
+    a = abacus_of(make_partition([]))
     assert a.bead_count == 0
     assert a.bead_positions == frozenset()
 
 
 def test_normalized_abacus_worked_shape():
-    assert normalized_abacus(LAM).bead_positions == frozenset({1, 4, 6, 8, 14, 15, 19})
+    assert abacus_of(LAM).bead_positions == frozenset({1, 4, 6, 8, 14, 15, 19})
 
 
 def test_abacus_rejects_inconsistent_data():
@@ -76,17 +77,18 @@ def test_abacus_rejects_inconsistent_data():
 
 
 def test_with_bead_count_shifts_and_prepends():
-    a = normalized_abacus(make_partition([2, 1]))
-    assert with_bead_count(a, 3).bead_positions == frozenset({0, 2, 4})
-    assert with_bead_count(a, 2) == a
-    empty = normalized_abacus(make_partition([]))
-    assert with_bead_count(empty, 2).bead_positions == frozenset({0, 1})
+    # each extra bead shifts every bead down one place and packs a new one at 0
+    p = make_partition([2, 1])
+    assert abacus_of(p, 3).bead_positions == frozenset({0, 2, 4})
+    assert abacus_of(p, 4).bead_positions == frozenset({0, 1, 3, 5})
+    assert abacus_of(p, 2) == abacus_of(p)
+    assert abacus_of(make_partition([]), 2).bead_positions == frozenset({0, 1})
     with pytest.raises(BeadCountTooSmall):
-        with_bead_count(a, 1)
+        abacus_of(p, 1)
 
 
 def test_abacus_of_pads_to_requested_count():
-    assert abacus_of(make_partition([2, 1])) == normalized_abacus(make_partition([2, 1]))
+    assert abacus_of(make_partition([2, 1])) == abacus_of(make_partition([2, 1]), 2)
     assert abacus_of(make_partition([2, 1]), 3).bead_positions == frozenset({0, 2, 4})
     with pytest.raises(BeadCountTooSmall):
         abacus_of(make_partition([2, 1]), 1)
@@ -100,7 +102,7 @@ def test_partition_of_examples():
 
 def test_roundtrip_all_small_shapes():
     for p in partitions_up_to(12):
-        assert partition_of(normalized_abacus(p)) == p
+        assert partition_of(abacus_of(p)) == p
         assert partition_of(abacus_of(p, len(p) + 3)) == p
 
 
@@ -124,8 +126,8 @@ def test_roundtrip_is_bead_count_invariant(p, extra):
 def test_movable_beads_examples():
     a = abacus_of(LAM, 7)
     assert movable_beads(a, 10) == {15, 19}
-    assert movable_beads(normalized_abacus(make_partition([])), 3) == set()
-    assert movable_beads(normalized_abacus(make_partition([1])), 1) == {1}
+    assert movable_beads(abacus_of(make_partition([])), 3) == set()
+    assert movable_beads(abacus_of(make_partition([1])), 1) == {1}
     with pytest.raises(ValueError):
         movable_beads(a, 0)
 
@@ -133,7 +135,7 @@ def test_movable_beads_examples():
 def test_movable_beads_count_ribbons():
     # one movable bead per geometric s-ribbon of the shape
     for p in partitions_up_to(8):
-        a = normalized_abacus(p)
+        a = abacus_of(p)
         for s in range(1, 5):
             assert len(movable_beads(a, s)) == len(ribbon_removals(p, s)), (p, s)
 
@@ -141,7 +143,7 @@ def test_movable_beads_count_ribbons():
 def test_swap_bead_examples():
     a = abacus_of(LAM, 7)
     assert partition_of(swap_bead(a, 15, 10)) == make_partition([13, 9, 4, 3, 3, 3, 1])
-    one = normalized_abacus(make_partition([1]))
+    one = abacus_of(make_partition([1]))
     assert partition_of(swap_bead(one, 1, 1)) == make_partition([])
     with pytest.raises(NotMovable):
         swap_bead(a, 6, 2)  # bead already sits at position 4
@@ -151,7 +153,7 @@ def test_swap_bead_examples():
 
 def test_swap_bead_matches_ribbon_removal():
     for p in partitions_up_to(12):
-        a = normalized_abacus(p)
+        a = abacus_of(p)
         for s in range(1, 7):
             got = {
                 partition_of(swap_bead(a, beta, s)): strip_height(a, beta, s)
@@ -162,24 +164,10 @@ def test_swap_bead_matches_ribbon_removal():
 
 def test_strip_height_examples():
     assert strip_height(abacus_of(LAM, 7), 15, 10) == 3
-    assert strip_height(normalized_abacus(make_partition([1])), 1, 1) == 0
-    assert strip_height(normalized_abacus(make_partition([1, 1])), 2, 2) == 1
+    assert strip_height(abacus_of(make_partition([1])), 1, 1) == 0
+    assert strip_height(abacus_of(make_partition([1, 1])), 2, 2) == 1
     with pytest.raises(NotMovable):
         strip_height(abacus_of(LAM, 7), 6, 2)
-
-
-def test_runner_positions_layout():
-    a = abacus_of(LAM, 7)
-    odd = runner_positions(a, 2, 1)  # positions 1, 3, 5, ...
-    assert odd[0] and odd[7] and odd[9]
-    assert sum(odd) == 3
-    full = runner_positions(a, 1, 0)
-    assert [i for i, filled in enumerate(full) if filled] == [1, 4, 6, 8, 14, 15, 19]
-    assert not any(runner_positions(normalized_abacus(make_partition([])), 3, 1))
-    with pytest.raises(BadRunner):
-        runner_positions(a, 2, 2)
-    with pytest.raises(ValueError):
-        runner_positions(a, 0, 0)
 
 
 def test_runner_beads_split():
@@ -259,7 +247,7 @@ def test_single_step_sign_matches_strip_signs():
     # inversion sign of the whole sequence
     for p in partitions_up_to(9):
         for r in (1, 2, 3):
-            a = normalized_abacus(p)
+            a = abacus_of(p)
             cur, product, moves = a, 1, []
             while True:
                 movable = sorted(movable_beads(cur, r))

@@ -12,20 +12,22 @@ import time
 import conftest
 from oracles import (
     border_strips_geometric,
+    decomposition_moves,
     is_ribbon,
+    movable_beads,
     removal_sign_set,
     ribbon_additions,
     ribbon_height,
+    strip_height,
+    subpartitions_of_size,
+    swap_bead,
 )
 from plethabacus.abacus import (
     BeadMove,
     IncompatibleAbaci,
     abacus_of,
     inversion_sign,
-    movable_beads,
     partition_of,
-    strip_height,
-    swap_bead,
 )
 from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
@@ -36,13 +38,11 @@ from plethabacus.partitions import (
     partitions_of_size,
     partitions_of_size_containing,
     partitions_up_to,
-    subpartitions_of_size,
 )
 from plethabacus.ring import newton_check
 from plethabacus.strips import (
     RunnerType,
     border_strips,
-    decomposition_moves,
     order_independent_sign,
     pairing_witness,
     r_decompose,

@@ -1,0 +1,94 @@
+"""The public surface of the package root: exactly these names, no others."""
+
+import importlib
+import inspect
+from types import ModuleType
+
+import plethabacus
+
+LAYERS = ("partitions", "abacus", "strips", "symfunc", "oracle")
+
+SUBMODULES = {"abacus", "cli", "oracle", "partitions", "ring", "strips", "symfunc"}
+
+# the public names of the root, its submodules aside
+PUBLIC = {
+    # partitions
+    "Box",
+    "InvalidPartition",
+    "NotContained",
+    "Partition",
+    "SchurExpansion",
+    "SkewPartition",
+    "make_partition",
+    "make_skew",
+    "partitions_of_size",
+    "partitions_of_size_containing",
+    "partitions_up_to",
+    # abacus
+    "Abacus",
+    "BadRunner",
+    "BeadCountTooSmall",
+    "BeadMove",
+    "IllegalMove",
+    "IncompatibleAbaci",
+    "abacus_of",
+    "final_positions",
+    "inversion_sign",
+    "partition_of",
+    "runner_beads",
+    "single_step_moves",
+    # strips
+    "BorderStrip",
+    "Decomposition",
+    "EmptySkew",
+    "NotDivisible",
+    "NotTypeIICase",
+    "PairingWitness",
+    "RecursionSummand",
+    "RunnerType",
+    "SignRecursionReport",
+    "border_strips",
+    "classify_runner",
+    "final_border_strip",
+    "order_independent_sign",
+    "pairing_witness",
+    "r_decompose",
+    "runner_profile",
+    "sgn_r",
+    "sign_recursion_check",
+    # symfunc
+    "mn_multiply",
+    "plethystic_mn",
+    "plethystic_mn_multi",
+    "power_product_pleth",
+    # oracle, and the ring names it forwards
+    "oracle_plethystic_mn",
+    "MultivariatePolynomial",
+    "NotSymmetric",
+    "TooFewVariables",
+    "newton_check",
+    "pleth_pr",
+    "poly_h",
+    "poly_p",
+    "poly_schur",
+    "schur_decompose",
+}
+
+
+def test_root_exports_exactly_the_public_names():
+    names = {n for n in dir(plethabacus) if not n.startswith("_")}
+    values = {n: getattr(plethabacus, n) for n in names}
+    # which submodules are attributes depends on what was imported before
+    modules = {n for n, v in values.items() if isinstance(v, ModuleType)}
+    assert modules <= SUBMODULES
+    assert names - modules == PUBLIC
+
+
+def test_every_public_function_and_class_is_exported():
+    for layer in LAYERS:
+        module = importlib.import_module(f"plethabacus.{layer}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or not (inspect.isfunction(value) or inspect.isclass(value)):
+                continue
+            if value.__module__ == module.__name__:
+                assert getattr(plethabacus, name, None) is value, f"{layer}.{name}"

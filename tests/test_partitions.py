@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import young_diagram_rows
+from oracles import minimal_distinct_row, subpartitions_of_size
 from plethabacus.partitions import (
     Box,
     InvalidPartition,
@@ -11,12 +11,9 @@ from plethabacus.partitions import (
     Partition,
     make_partition,
     make_skew,
-    minimal_distinct_row,
     partitions_of_size,
     partitions_of_size_containing,
     partitions_up_to,
-    rim,
-    subpartitions_of_size,
 )
 
 # number of partitions of 0, 1, ..., 12
@@ -126,45 +123,6 @@ def test_make_skew_rejects_non_contained():
         make_skew(make_partition([2, 1]), make_partition([3]))
     with pytest.raises(NotContained):
         make_skew(make_partition([2]), make_partition([1, 1]))
-
-
-def test_rim_single_box():
-    assert rim(make_partition([1])) == {Box(1, 1)}
-
-
-def test_rim_of_two_by_two_excludes_corner():
-    # (1,1) is interior because (2,2) is still in the diagram
-    assert rim(make_partition([2, 2])) == {Box(1, 2), Box(2, 1), Box(2, 2)}
-
-
-def test_rim_matches_defining_predicate():
-    p = make_partition([13, 10, 10, 5, 4, 3, 1])
-    expected = {
-        Box(i, j)
-        for i in range(1, len(p) + 1)
-        for j in range(1, p.part(i) + 1)
-        if not p.has_box(i + 1, j + 1)
-    }
-    got = rim(p)
-    assert got == expected
-    # the rim is a lattice path with first-part + parts - 1 boxes
-    assert len(got) == 13 + 7 - 1
-
-
-def test_rim_size_identity_all_small_shapes():
-    for p in partitions_up_to(12):
-        if p.size() == 0:
-            assert rim(p) == set()
-            continue
-        assert len(rim(p)) == p.part(1) + len(p) - 1
-
-
-def test_removing_rim_leaves_a_partition():
-    for p in partitions_up_to(12):
-        remaining = {(b.row, b.column) for b in p.boxes()} - {
-            (b.row, b.column) for b in rim(p)
-        }
-        assert young_diagram_rows(remaining) is not None, p
 
 
 def test_minimal_distinct_row():

@@ -1,38 +1,33 @@
 import pytest
 
 from oracles import (
+    apply_moves,
+    border_strip,
     border_strips_geometric,
     brute_force_pair_set,
+    decomposition_moves,
+    is_border_strip_pair,
     is_ribbon,
+    minimal_distinct_row,
     removal_sign_set,
     ribbon_height,
     ribbon_removals,
     skew_boxes,
-)
-from plethabacus.abacus import IncompatibleAbaci, abacus_of, apply_moves, inversion_sign
-from plethabacus.partitions import (
-    Box,
-    make_partition,
-    make_skew,
-    minimal_distinct_row,
-    partitions_up_to,
     subpartitions_of_size,
 )
+from plethabacus.abacus import IncompatibleAbaci, abacus_of, inversion_sign
+from plethabacus.partitions import Box, make_partition, make_skew, partitions_up_to
 from plethabacus.strips import (
     EmptySkew,
     NotDivisible,
     NotTypeIICase,
     RunnerType,
-    border_strip,
     border_strips,
     classify_runner,
-    decomposition_moves,
     final_border_strip,
-    is_border_strip_pair,
     order_independent_sign,
     pairing_witness,
     r_decompose,
-    runner_is_decomposable,
     runner_profile,
     sgn_r,
     sign_recursion_check,
@@ -259,6 +254,27 @@ def test_sgn_r_rejects_nonpositive_strip_length():
             border_strips(lam, r)
 
 
+# every strips entry point that takes a strip length, called on (3, 1)/()
+STRIP_LENGTH_CALLS = {
+    "sgn_r": lambda lam, nu, r: sgn_r(make_skew(lam, nu), r),
+    "r_decompose": lambda lam, nu, r: r_decompose(make_skew(lam, nu), r),
+    "final_border_strip": lambda lam, nu, r: final_border_strip(make_skew(lam, nu), r),
+    "border_strips": lambda lam, nu, r: border_strips(lam, r),
+    "sign_recursion_check": lambda lam, nu, r: sign_recursion_check(make_skew(lam, nu), r),
+    "order_independent_sign": order_independent_sign,
+}
+
+
+@pytest.mark.parametrize("r", [2.0, "2"])
+@pytest.mark.parametrize("name", list(STRIP_LENGTH_CALLS))
+def test_strips_reject_a_non_integer_strip_length(name, r):
+    # a float or a string is rejected, not used as a length
+    call = STRIP_LENGTH_CALLS[name]
+    with pytest.raises(ValueError, match="strip length must be an integer"):
+        call(make_partition([3, 1]), make_partition([]), r)
+    assert call(make_partition([3, 1]), make_partition([]), 2) is not None
+
+
 def test_order_independent_sign_examples():
     assert order_independent_sign(LAM, NU, 2) == 1
     # reachable by 2-strips even though the greedy chain gets stuck
@@ -286,7 +302,7 @@ def test_sgn_r_nonzero_iff_all_runners_decomposable():
                     a, c = abacus_of(lam, b), abacus_of(nu, b)
                     try:
                         alldec = all(
-                            runner_is_decomposable(a, c, r, t) for t in range(r)
+                            classify_runner(a, c, r, t) is RunnerType.I for t in range(r)
                         )
                     except IncompatibleAbaci:
                         alldec = False
@@ -298,19 +314,20 @@ def test_sgn_r_nonzero_iff_all_runners_decomposable():
 
 
 def test_runner_is_decomposable_examples():
+    def decomposable(a, c, t):
+        return classify_runner(a, c, 2, t) is RunnerType.I
+
     a, c = abacus_of(LAM, 7), abacus_of(NU, 7)
-    assert runner_is_decomposable(a, c, 2, 0)
-    assert runner_is_decomposable(a, c, 2, 1)
+    assert decomposable(a, c, 0)
+    assert decomposable(a, c, 1)
     a2, c2 = abacus_of(LAM2, 9), abacus_of(NU2, 9)
-    assert not runner_is_decomposable(a2, c2, 2, 0)
-    assert runner_is_decomposable(a2, c2, 2, 1)
-    assert runner_is_decomposable(a, a, 2, 0)  # identical runners, no moves
+    assert not decomposable(a2, c2, 0)
+    assert decomposable(a2, c2, 1)
+    assert decomposable(a, a, 0)  # identical runners, no moves
     with pytest.raises(IncompatibleAbaci):
-        runner_is_decomposable(a, abacus_of(NU, 6), 2, 0)
+        decomposable(a, abacus_of(NU, 6), 0)
     with pytest.raises(IncompatibleAbaci):
-        runner_is_decomposable(
-            abacus_of(make_partition([1]), 1), abacus_of(make_partition([]), 1), 2, 0
-        )
+        decomposable(abacus_of(make_partition([1]), 1), abacus_of(make_partition([]), 1), 0)
 
 
 def test_classify_runner_trichotomy():

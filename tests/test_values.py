@@ -51,6 +51,20 @@ def test_records_round_trip_through_pickle_and_copy():
             assert type(clone) is type(value) and clone == value, value
 
 
+def test_schur_expansion_is_unhashable_and_compares_by_terms():
+    # its terms are a dict, so the class declares itself unhashable
+    for e in (SchurExpansion(0, {}), plethystic_mn(NU2, 2, 1)):
+        with pytest.raises(TypeError, match="unhashable type: 'SchurExpansion'"):
+            hash(e)
+    two, one_one = make_partition([2]), make_partition([1, 1])
+    e = SchurExpansion(2, {two: 1, one_one: -1})
+    assert e == SchurExpansion(2, {one_one: -1, two: 1, make_partition([1]): 0})
+    assert e != SchurExpansion(2, {two: 1})
+    assert SchurExpansion(0, {}) == SchurExpansion(0, {})
+    assert SchurExpansion(0, {}) != SchurExpansion(1, {})
+    assert e != {two: 1, one_one: -1} and e != 2
+
+
 def test_records_have_no_instance_dict():
     types = set()
     for value in one_of_each_record():
