@@ -10,11 +10,10 @@ between the two positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, _integer
 
 
 class BeadCountTooSmall(ValueError):
@@ -42,23 +41,34 @@ class BeadMove(NamedTuple):
     to_position: int
 
 
-@dataclass(frozen=True, slots=True)
-class Abacus:
+class _AbacusFields(NamedTuple):
     bead_count: int
     bead_positions: frozenset[int]
 
-    def __post_init__(self):
+
+class Abacus(_AbacusFields):
+    """bead_count beads at distinct non-negative positions.
+
+    An Abacus is the tuple (bead_count, bead_positions). Every
+    constructor, _make and _replace included, checks the beads.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bead_count: int, bead_positions: Iterable[int]) -> "Abacus":
         try:
-            beads = frozenset(map(index, self.bead_positions))
+            beads = frozenset(map(index, bead_positions))
         except TypeError as e:
             raise ValueError(f"bead positions must be integers: {e}") from None
-        object.__setattr__(self, "bead_positions", beads)
         if any(p < 0 for p in beads):
             raise ValueError(f"bead positions must be non-negative: {sorted(beads)}")
-        if len(beads) != self.bead_count:
-            raise ValueError(
-                f"bead_count {self.bead_count} != {len(beads)} distinct positions"
-            )
+        if len(beads) != bead_count:
+            raise ValueError(f"bead_count {bead_count} != {len(beads)} distinct positions")
+        return tuple.__new__(cls, (bead_count, beads))
+
+    @classmethod
+    def _make(cls, iterable) -> "Abacus":
+        return cls(*iterable)
 
     def has_bead(self, position: int) -> bool:
         return position in self.bead_positions
@@ -81,7 +91,8 @@ def _partition_of_beads(beads: Sequence[int]) -> Partition:
     n = k = len(beads)
     while k and beads[k - 1] == n - k:
         k -= 1  # zero parts: beads packed at positions 0, 1, ... at the bottom
-    return Partition._trusted([beads[i] + i + 1 - n for i in range(k)])
+    # row i (1-based) of n beads has part beads[i - 1] + i - n
+    return Partition._trusted([b + i for i, b in enumerate(beads[:k], 1 - n)])
 
 
 def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
@@ -100,6 +111,7 @@ def partition_of(abacus: Abacus) -> Partition:
 
 def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
     """Sorted bead positions lying on runner t."""
+    r, t = _integer("r", r, 1), _integer("t", t, None)
     if not 0 <= t < r:
         raise BadRunner(f"runner {t} not in 0..{r - 1}")
     return sorted(p for p in abacus.bead_positions if p % r == t)
@@ -143,6 +155,7 @@ def single_step_moves(source: Abacus, target: Abacus, r: int) -> list[BeadMove]:
     k-th bead of the source must travel to the k-th position of the target;
     walking each runner top-down keeps every intermediate position free.
     """
+    r = _integer("r", r, 1)
     if source.bead_count != target.bead_count:
         raise IncompatibleAbaci(
             f"bead counts {source.bead_count} != {target.bead_count}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abacus import IncompatibleAbaci, abacus_of
 from .oracle import oracle_plethystic_mn
@@ -58,22 +58,31 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Sweep bounds for the verify command."""
-
+class _VerifyBounds(NamedTuple):
     max_nu_size: int = 4
     r_range: tuple[int, int] = (1, 3)
     m_range: tuple[int, int] = (1, 3)
     max_degree: int = 12
 
-    def __post_init__(self):
+
+class VerifyConfig(_VerifyBounds):
+    """Sweep bounds for the verify command; _make and _replace check them too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "VerifyConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_nu_size < 0 or self.max_degree < 0:
             raise ValueError("size bounds must be non-negative")
         if self.r_range[0] < 1 or self.r_range[1] < self.r_range[0]:
             raise ValueError(f"bad r range {self.r_range}")
         if self.m_range[0] < 1 or self.m_range[1] < self.m_range[0]:
             raise ValueError(f"bad m range {self.m_range}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "VerifyConfig":
+        return cls(*iterable)
 
 
 def _format_partition(p: Partition) -> str:

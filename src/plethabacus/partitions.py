@@ -7,7 +7,6 @@ parts as zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import ge, index
 from typing import Iterable, Iterator, NamedTuple
 
@@ -28,8 +27,8 @@ def _integers(parts: Iterable[int]) -> list[int]:
         raise InvalidPartition(f"parts must be integers: {e}") from None
 
 
-def _integer(name: str, value: int, least: int) -> int:
-    """value as an int >= least, else a ValueError naming the argument.
+def _integer(name: str, value: int, least: int | None) -> int:
+    """value as an int >= least (any int for None), else a ValueError naming the argument.
 
     A float or a string is rejected, not truncated.
     """
@@ -37,7 +36,7 @@ def _integer(name: str, value: int, least: int) -> int:
         value = index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
@@ -125,16 +124,28 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition._trusted(seq)
 
 
-@dataclass(frozen=True, slots=True)
-class SkewPartition:
-    """A pair outer/inner with inner contained in outer."""
-
+class _SkewFields(NamedTuple):
     outer: Partition
     inner: Partition
 
-    def __post_init__(self):
-        if not self.outer.contains(self.inner):
-            raise NotContained(f"{self.inner} is not contained in {self.outer}")
+
+class SkewPartition(_SkewFields):
+    """A pair outer/inner with inner contained in outer.
+
+    A SkewPartition is the tuple (outer, inner). Every constructor,
+    _make and _replace included, checks the containment.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, outer: Partition, inner: Partition) -> "SkewPartition":
+        if not outer.contains(inner):
+            raise NotContained(f"{inner} is not contained in {outer}")
+        return tuple.__new__(cls, (outer, inner))
+
+    @classmethod
+    def _make(cls, iterable) -> "SkewPartition":
+        return cls(*iterable)
 
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
@@ -154,18 +165,56 @@ def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
     return SkewPartition(outer, inner)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SchurExpansion:
+class _Record:
+    """Base of the immutable records that are not tuples.
+
+    A subclass lists its fields in _fields, which are also its
+    __slots__, and sets each once in construction with
+    object.__setattr__. Equality, hash, repr and pickling follow the
+    fields in order.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SchurExpansion(_Record):
     """Finitely supported integer combination of Schur functions of one degree."""
 
-    degree: int
-    terms: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = _fields = ("degree", "terms")
+    # the terms are a dict
+    __hash__ = None
 
-    def __post_init__(self):
-        clean = {p: c for p, c in self.terms.items() if c != 0}
+    def __init__(self, degree: int, terms: dict[Partition, int] | None = None):
+        clean = {} if terms is None else {p: c for p, c in terms.items() if c != 0}
         for p in clean:
-            if p.size() != self.degree:
-                raise ValueError(f"{p} does not have degree {self.degree}")
+            if p.size() != degree:
+                raise ValueError(f"{p} does not have degree {degree}")
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
     @classmethod

@@ -12,7 +12,7 @@ moves on the r-runner abacus.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abacus import (
     Abacus,
@@ -27,7 +27,7 @@ from .abacus import (
     runner_beads,
     single_step_moves,
 )
-from .partitions import Box, Partition, SkewPartition, _integer, make_skew
+from .partitions import Box, Partition, SkewPartition, _integer, _Record, make_skew
 
 
 class EmptySkew(ValueError):
@@ -42,8 +42,7 @@ class NotDivisible(ValueError):
     """Skew size is not a multiple of the strip length."""
 
 
-@dataclass(frozen=True, slots=True)
-class BorderStrip:
+class BorderStrip(NamedTuple):
     """A connected border ribbon outer/inner, with its extreme boxes and height."""
 
     outer: Partition
@@ -121,8 +120,7 @@ def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
     return _bead_strip(lam, beads, i, r, inner)
 
 
-@dataclass(frozen=True, slots=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A maximal chain of final r-strip removals from outer down to inner."""
 
     chain: tuple[Partition, ...]
@@ -294,6 +292,7 @@ def _is_decomposable_runner(beads: set[int], src_all: set[int], dst: list[int], 
 
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     """Type I: decomposable; II: one upward bead swap away; III: neither."""
+    r, t = _integer("r", r, 1), _integer("t", t, None)
     src, dst = _runner_move_data(a, c, r, t)
     beads = set(src)
     if _is_decomposable_runner(beads, a.bead_positions, dst, r):
@@ -310,11 +309,11 @@ def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
 
 
 def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
+    r = _integer("r", r, 1)
     return tuple(classify_runner(a, c, r, t) for t in range(r))
 
 
-@dataclass(frozen=True, slots=True)
-class PairingWitness:
+class PairingWitness(NamedTuple):
     """Data pairing two cancelling summands of the sign recursion.
 
     delta and delta_star are the distinguished beads on the type II
@@ -359,6 +358,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     gaps gamma run from the final position of the top of the bead block
     containing delta up to (but excluding) the next forced final position.
     """
+    r = _integer("r", r, 1)
     profile = runner_profile(a, c, r)
     if profile.count(RunnerType.II) != 1 or profile.count(RunnerType.III) > 0:
         raise NotTypeIICase(f"runner profile {[p.value for p in profile]}")
@@ -424,8 +424,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     return witnesses
 
 
-@dataclass(frozen=True, slots=True)
-class RecursionSummand:
+class RecursionSummand(NamedTuple):
     """One term sgn(outer/mu) * sgn_r(mu/inner) of the sign recursion."""
 
     mu: Partition
@@ -438,15 +437,25 @@ class RecursionSummand:
         return self.strip_sign * self.tail_sign
 
 
-@dataclass(frozen=True, slots=True)
-class SignRecursionReport:
+class SignRecursionReport(_Record):
     """Both sides of m * sgn_r = sum over strips, with every summand listed."""
 
-    skew: SkewPartition
-    r: int
-    m: int
-    sgn_r_value: int
-    summands: tuple[RecursionSummand, ...]
+    __slots__ = _fields = ("skew", "r", "m", "sgn_r_value", "summands")
+
+    def __init__(
+        self,
+        skew: SkewPartition,
+        r: int,
+        m: int,
+        sgn_r_value: int,
+        summands: tuple[RecursionSummand, ...],
+    ):
+        set_field = object.__setattr__
+        set_field(self, "skew", skew)
+        set_field(self, "r", r)
+        set_field(self, "m", m)
+        set_field(self, "sgn_r_value", sgn_r_value)
+        set_field(self, "summands", summands)
 
     @property
     def lhs(self) -> int:
@@ -489,25 +498,27 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     occupied = set(beads)
     # lam contains nu, so beads already dominates inner entrywise
     summands = []
-    # the stable sort keeps bead positions descending within a runner
-    for i, beta in sorted(enumerate(beads), key=lambda e: e[1] % r):
-        for q in range(1, min(m, beta // r) + 1):
-            target = beta - q * r
-            if target in occupied:
+    summand = tuple.__new__  # a RecursionSummand, with no Python-level constructor call
+    # runner by runner, each top-down as beads is descending; an empty skew
+    # (m = 0) has no summands, whatever the size of r
+    for t in range(r if m else 0):
+        for i, beta in enumerate(beads):
+            if beta % r != t:
                 continue
-            moved = beads.copy()
-            height = _raise_bead(moved, i, target, inner)
-            if height is None:
-                break
-            # decode mu before _chain_sign consumes moved
-            mu = _partition_of_beads(moved)
-            summands.append(
-                RecursionSummand(mu, q * r, (-1) ** height, _chain_sign(moved, inner, r))
-            )
-    return SignRecursionReport(
-        skew=skew,
-        r=r,
-        m=m,
-        sgn_r_value=_chain_sign(beads, inner, r),
-        summands=tuple(summands),
-    )
+            for q in range(1, min(m, beta // r) + 1):
+                target = beta - q * r
+                if target in occupied:
+                    continue
+                moved = beads.copy()
+                height = _raise_bead(moved, i, target, inner)
+                if height is None:
+                    break
+                # decode mu before _chain_sign consumes moved
+                mu = _partition_of_beads(moved)
+                summands.append(
+                    summand(
+                        RecursionSummand,
+                        (mu, q * r, (-1) ** height, _chain_sign(moved, inner, r)),
+                    )
+                )
+    return SignRecursionReport(skew, r, m, _chain_sign(beads, inner, r), tuple(summands))

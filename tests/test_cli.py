@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import io
 import json
 import shlex
@@ -11,6 +10,7 @@ import pytest
 
 import plethabacus.cli as cli
 from plethabacus.partitions import make_partition
+from plethabacus.strips import SignRecursionReport
 from plethabacus.symfunc import SchurExpansion, plethystic_mn, plethystic_mn_multi
 
 
@@ -276,7 +276,9 @@ def test_recursion_mismatch_prints_runnable_repro(capsys, monkeypatch):
     def check(skew, r):
         report = real(skew, r)
         if (skew.outer.parts, skew.inner.parts, r) == ((2, 1), (1,), 1):
-            return dataclasses.replace(report, m=report.m + 1)
+            return SignRecursionReport(
+                report.skew, r, report.m + 1, report.sgn_r_value, report.summands
+            )
         return report
 
     monkeypatch.setattr(cli, "sign_recursion_check", check)
@@ -294,27 +296,30 @@ def test_recursion_mismatch_prints_runnable_repro(capsys, monkeypatch):
 
 
 def test_expand_and_verify_leave_numpy_unloaded():
+    # and dataclasses, with the inspect it imports, stay unloaded as well
     code = (
         "import sys\n"
         "import plethabacus\n"
         "import plethabacus.cli as cli\n"
         "codes = [cli.main(['expand', '--r', '2', '--m', '2']), cli.main(\n"
         "    ['verify', '--max-nu-size', '1', '--r-range', '1..2', '--m-range', '1..2'])]\n"
-        "print(codes, 'numpy' in sys.modules)\n"
+        "print(codes, sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_package_import_leaves_the_cli_unloaded():
-    # the command line, and argparse and json with it, load with plethabacus.cli
+    # the command line, and argparse and json with it, load with plethabacus.cli;
+    # dataclasses and inspect load with neither
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import plethabacus\n"
         "loaded = set(sys.modules) - before\n"
-        "print(sorted({'plethabacus.cli', 'argparse', 'json'} & loaded))\n"
+        "cli = {'plethabacus.cli', 'argparse', 'json'}\n"
+        "print(sorted((cli | {'dataclasses', 'inspect'}) & loaded))\n"
         "from plethabacus.cli import main\n"
         "print(main(['expand', '--r', '2', '--m', '1']))\n"
     )

@@ -15,7 +15,13 @@ from oracles import (
     skew_boxes,
     subpartitions_of_size,
 )
-from plethabacus.abacus import IncompatibleAbaci, abacus_of, inversion_sign
+from plethabacus.abacus import (
+    IncompatibleAbaci,
+    abacus_of,
+    inversion_sign,
+    runner_beads,
+    single_step_moves,
+)
 from plethabacus.partitions import Box, make_partition, make_skew, partitions_up_to
 from plethabacus.strips import (
     EmptySkew,
@@ -273,6 +279,29 @@ def test_strips_reject_a_non_integer_strip_length(name, r):
     with pytest.raises(ValueError, match="strip length must be an integer"):
         call(make_partition([3, 1]), make_partition([]), r)
     assert call(make_partition([3, 1]), make_partition([]), 2) is not None
+
+
+# every entry point that takes a runner count r or a runner t, keyed by
+# its name and the argument its error names, with that argument set to x
+RUNNER_CALLS = {
+    "runner_beads r": lambda a, c, x: runner_beads(a, x, 0),
+    "runner_beads t": lambda a, c, x: runner_beads(a, 2, x),
+    "classify_runner r": lambda a, c, x: classify_runner(a, c, x, 0),
+    "classify_runner t": lambda a, c, x: classify_runner(a, c, 2, x),
+    "runner_profile r": runner_profile,
+    "pairing_witness r": pairing_witness,
+    "single_step_moves r": single_step_moves,
+}
+
+
+@pytest.mark.parametrize("value", [2.0, "2"])
+@pytest.mark.parametrize("name", list(RUNNER_CALLS))
+def test_runner_functions_reject_a_non_integer_argument(name, value):
+    # a float was truncated or passed to range; now it fails as a string does
+    arg = name.split()[1]
+    a, c = abacus_of(LAM2, 9), abacus_of(NU2, 9)
+    with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {value!r}$"):
+        RUNNER_CALLS[name](a, c, value)
 
 
 def test_order_independent_sign_examples():

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from plethabacus.abacus import Abacus, abacus_of
+from plethabacus.cli import VerifyConfig
 from plethabacus.partitions import (
     InvalidPartition,
     NotContained,
@@ -14,7 +15,13 @@ from plethabacus.partitions import (
     make_partition,
     make_skew,
 )
-from plethabacus.strips import border_strips, pairing_witness, r_decompose, sign_recursion_check
+from plethabacus.strips import (
+    SignRecursionReport,
+    border_strips,
+    pairing_witness,
+    r_decompose,
+    sign_recursion_check,
+)
 from plethabacus.symfunc import plethystic_mn
 
 # the smallest shape pair with one type II runner next to a type I runner
@@ -43,7 +50,7 @@ def one_of_each_record():
 
 
 def test_records_round_trip_through_pickle_and_copy():
-    for value in one_of_each_record():
+    for value in [*one_of_each_record(), VerifyConfig(max_degree=6)]:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(value, protocol))
             assert type(back) is type(value) and back == value, (value, protocol)
@@ -108,6 +115,75 @@ def test_repr_is_unchanged():
     assert repr(Abacus(2, frozenset({0, 3}))) == (
         "Abacus(bead_count=2, bead_positions=frozenset({0, 3}))"
     )
+
+
+def test_record_fields_cannot_be_assigned_or_deleted():
+    e = plethystic_mn(NU2, 2, 1)
+    report = sign_recursion_check(make_skew(make_partition([5, 1]), make_partition([2, 1])), 3)
+    skew = report.skew
+    for value, field in ((e, "degree"), (e, "terms"), (report, "m"), (skew, "outer")):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
+
+
+def test_expansion_and_report_are_not_tuples_and_keep_their_repr():
+    # a tuple output reads as an (ours, truth) pair to the benchmark's checks
+    two, one_one = make_partition([2]), make_partition([1, 1])
+    e = SchurExpansion(2, {two: 1, one_one: -1})
+    report = sign_recursion_check(make_skew(make_partition([4]), make_partition([])), 2)
+    assert not isinstance(e, tuple) and not isinstance(report, tuple)
+    assert repr(e) == "SchurExpansion(degree=2, terms={Partition(2,): 1, Partition(1, 1): -1})"
+    assert repr(SchurExpansion(0)) == "SchurExpansion(degree=0, terms={})"
+    assert repr(report) == (
+        "SignRecursionReport(skew=SkewPartition(outer=Partition(4,), inner=Partition()),"
+        " r=2, m=2, sgn_r_value=1, summands=("
+        "RecursionSummand(mu=Partition(2,), strip_length=2, strip_sign=1, tail_sign=1),"
+        " RecursionSummand(mu=Partition(), strip_length=4, strip_sign=1, tail_sign=1)))"
+    )
+    fields = (report.skew, report.r, report.m, report.sgn_r_value, report.summands)
+    assert report == SignRecursionReport(*fields) and report != fields
+    assert hash(report) == hash(SignRecursionReport(*fields))
+
+
+def test_tuple_records_equal_their_plain_field_tuples():
+    lam, nu = make_partition([5, 1]), make_partition([2, 1])
+    report = sign_recursion_check(make_skew(lam, nu), 3)
+    records = [
+        make_skew(lam, nu),
+        abacus_of(lam, 5),
+        border_strips(lam, 3)[0],
+        r_decompose(make_skew(lam, nu), 3),
+        pairing_witness(abacus_of(LAM2, 9), abacus_of(NU2, 9), 2)[0],
+        report.summands[0],
+        VerifyConfig(),
+    ]
+    for value in records:
+        plain = tuple(value)
+        assert isinstance(value, tuple) and value == plain and hash(value) == hash(plain)
+        assert plain == tuple(getattr(value, name) for name in value._fields)
+    assert report.summands[0] == (make_partition([2, 1]), 3, 1, 1)
+
+
+def test_replace_checks_what_the_constructor_checks():
+    skew = make_skew(Partition((2, 1)), Partition((1,)))
+    with pytest.raises(NotContained, match=r"Partition\(3,\) is not contained in"):
+        skew._replace(inner=Partition((3,)))
+    with pytest.raises(NotContained):
+        type(skew)._make((Partition((1,)), Partition((2,))))
+    assert skew._replace(inner=Partition((2,))) == (Partition((2, 1)), Partition((2,)))
+    with pytest.raises(ValueError, match="bead_count 7 != 2 distinct positions"):
+        abacus_of(Partition((5, 2)), 2)._replace(bead_count=7)
+    with pytest.raises(ValueError, match="non-negative"):
+        abacus_of(Partition((5, 2)), 2)._replace(bead_positions=[-1, 3])
+    with pytest.raises(ValueError, match="size bounds must be non-negative"):
+        VerifyConfig()._replace(max_degree=-1)
+    with pytest.raises(ValueError, match=r"bad r range \(2, 1\)"):
+        VerifyConfig._make((4, (2, 1), (1, 3), 12))
+    assert VerifyConfig()._replace(max_degree=6).max_degree == 6
 
 
 INTEGERS = "parts must be integers: '{}' object cannot be interpreted as an integer"
