@@ -56,6 +56,7 @@ class Abacus(_AbacusFields):
     __slots__ = ()
 
     def __new__(cls, bead_count: int, bead_positions: Iterable[int]) -> "Abacus":
+        bead_count = _integer("bead_count", bead_count, None)
         try:
             beads = frozenset(map(index, bead_positions))
         except TypeError as e:
@@ -97,9 +98,8 @@ def _partition_of_beads(beads: Sequence[int]) -> Partition:
 
 def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
     """Abacus of a partition at a chosen bead count (defaults to the part count)."""
-    if bead_count is None:
-        bead_count = len(shape)
-    elif bead_count < len(shape):
+    bead_count = len(shape) if bead_count is None else _integer("bead_count", bead_count, None)
+    if bead_count < len(shape):
         raise BeadCountTooSmall(f"{bead_count} beads < {len(shape)} parts")
     return Abacus(bead_count, frozenset(_beads_of(shape, bead_count)))
 

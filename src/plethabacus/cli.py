@@ -15,9 +15,8 @@ from typing import NamedTuple
 from .abacus import IncompatibleAbaci, abacus_of
 from .oracle import oracle_plethystic_mn
 from .partitions import (
-    InvalidPartition,
-    NotContained,
     Partition,
+    _integer,
     make_partition,
     make_skew,
     partitions_of_size_containing,
@@ -33,29 +32,35 @@ def _parse_partition(text: str) -> Partition:
     try:
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
         return make_partition(parts)
-    except (ValueError, InvalidPartition) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {e}") from e
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _positive_int(text: str) -> int:
+    """An integer >= 1: the bound on --m, --ms and --runners that no library call checks."""
     try:
-        out = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from e
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_int_list(text: str) -> list[int]:
+    out = [_positive_int(x) for x in text.split(",") if x.strip() != ""]
     if not out:
         raise argparse.ArgumentTypeError("empty integer list")
     return out
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """a..b as a pair of ints; VerifyConfig checks the bounds."""
     try:
         lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected a..b") from e
-    if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}: need 1 <= a <= b")
-    return lo, hi
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, expected a..b") from None
 
 
 class _VerifyBounds(NamedTuple):
@@ -65,20 +70,32 @@ class _VerifyBounds(NamedTuple):
     max_degree: int = 12
 
 
+def _bound_range(name: str, pair) -> tuple[int, int]:
+    """pair as ints lo, hi with 1 <= lo <= hi, else a ValueError naming the range."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair, got {pair!r}") from None
+    lo, hi = _integer(name, lo, None), _integer(name, hi, None)
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad {name} {pair}")
+    return lo, hi
+
+
 class VerifyConfig(_VerifyBounds):
-    """Sweep bounds for the verify command; _make and _replace check them too."""
+    """Sweep bounds for the verify command, checked here only; _make and _replace too."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "VerifyConfig":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.max_nu_size < 0 or self.max_degree < 0:
+        fields = super().__new__(cls, *args, **kwargs)
+        max_nu_size = _integer("max_nu_size", fields.max_nu_size, None)
+        max_degree = _integer("max_degree", fields.max_degree, None)
+        if max_nu_size < 0 or max_degree < 0:
             raise ValueError("size bounds must be non-negative")
-        if self.r_range[0] < 1 or self.r_range[1] < self.r_range[0]:
-            raise ValueError(f"bad r range {self.r_range}")
-        if self.m_range[0] < 1 or self.m_range[1] < self.m_range[0]:
-            raise ValueError(f"bad m range {self.m_range}")
-        return self
+        r_range = _bound_range("r range", fields.r_range)
+        m_range = _bound_range("m range", fields.m_range)
+        return tuple.__new__(cls, (max_nu_size, r_range, m_range, max_degree))
 
     @classmethod
     def _make(cls, iterable) -> "VerifyConfig":
@@ -152,8 +169,7 @@ def cmd_sgn(args, full_chain: bool) -> int:
 
 
 def cmd_abacus(args) -> int:
-    b = args.beads if args.beads is not None else len(args.lam)
-    a = abacus_of(args.lam, b)
+    a = abacus_of(args.lam, args.beads)
     r = args.runners
     w = max(len(str(r - 1)), 1)
     print(" ".join(f"{t:>{w}}" for t in range(r)))
@@ -195,36 +211,27 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     nus = list(partitions_up_to(config.max_nu_size))
     failures: list[tuple[int, str]] = []  # (degree, message)
-    expansion_total = recursion_total = 0
+    totals = {"expansion": 0, "recursion": 0}
     for r in range(config.r_range[0], config.r_range[1] + 1):
         for m in range(config.m_range[0], config.m_range[1] + 1):
-            block = [
-                (nu, r, m)
-                for nu in nus
-                if r * m + nu.size() <= config.max_degree
-            ]
-            print(f"verify: expansion r={r} m={m}: {len(block)} cases", file=err, flush=True)
-            results = [_expansion_case(case) for case in block]
-            expansion_total += len(block)
-            failures.extend(
-                (r * m + case[0].size(), msg) for case, (ok, msg) in zip(block, results) if not ok
-            )
+            # every case of a nu has degree d = r*m + |nu|
+            fits = [(r * m + nu.size(), nu) for nu in nus]
+            fits = [(d, nu) for d, nu in fits if d <= config.max_degree]
+            recursions = [(d, (lam, nu, r)) for d, nu in fits
+                          for lam in partitions_of_size_containing(d, nu)]
+            for name, check, block in (
+                ("expansion", _expansion_case, [(d, (nu, r, m)) for d, nu in fits]),
+                ("recursion", _recursion_case, recursions),
+            ):
+                print(f"verify: {name} r={r} m={m}: {len(block)} cases", file=err, flush=True)
+                totals[name] += len(block)
+                for degree, case in block:
+                    ok, msg = check(case)
+                    if not ok:
+                        failures.append((degree, msg))
 
-            block4 = [
-                (lam, nu, r)
-                for nu in nus
-                if r * m + nu.size() <= config.max_degree
-                for lam in partitions_of_size_containing(r * m + nu.size(), nu)
-            ]
-            print(f"verify: recursion r={r} m={m}: {len(block4)} cases", file=err, flush=True)
-            results = [_recursion_case(case) for case in block4]
-            recursion_total += len(block4)
-            failures.extend(
-                (case[0].size(), msg) for case, (ok, msg) in zip(block4, results) if not ok
-            )
-
-    print(f"expansion vs determinant oracle: {expansion_total} cases", file=out)
-    print(f"sign recursion: {recursion_total} cases", file=out)
+    print(f"expansion vs determinant oracle: {totals['expansion']} cases", file=out)
+    print(f"sign recursion: {totals['recursion']} cases", file=out)
     if failures:
         # the smallest degree first: min keeps the earliest of equal degrees
         _, first = min(failures, key=lambda failure: failure[0])
@@ -235,17 +242,8 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = VerifyConfig(
-            max_nu_size=args.max_nu_size,
-            r_range=args.r_range,
-            m_range=args.m_range,
-            max_degree=args.max_degree,
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    return run_verify(config)
+    bounds = args.max_nu_size, args.r_range, args.m_range, args.max_degree
+    return run_verify(VerifyConfig(*bounds))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--nu", type=_parse_partition, default=make_partition([]))
     p_expand.add_argument("--r", type=int, required=True)
     group = p_expand.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int)
+    group.add_argument("--m", type=_positive_int)
     group.add_argument("--ms", type=_parse_int_list)
     p_expand.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_abacus = sub.add_parser("abacus", help="render the runner diagram of a partition")
     p_abacus.add_argument("--lambda", dest="lam", type=_parse_partition, required=True)
-    p_abacus.add_argument("--runners", type=int, required=True)
+    p_abacus.add_argument("--runners", type=_positive_int, required=True)
     p_abacus.add_argument("--beads", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="sweep the expansion and recursion identities")
@@ -287,32 +285,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a usage error exits 2 through parser.error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "expand":
-            if args.m is not None and args.m < 1:
-                parser.error("--m must be >= 1")
-            if args.ms is not None and any(m < 1 for m in args.ms):
-                parser.error("--ms entries must be >= 1")
-            if args.r < 1:
-                parser.error("--r must be >= 1")
             return cmd_expand(args)
         if args.command in ("sgn", "decompose"):
-            if args.r < 1:
-                parser.error("--r must be >= 1")
             return cmd_sgn(args, full_chain=args.command == "decompose")
         if args.command == "abacus":
-            if args.runners < 1:
-                parser.error("--runners must be >= 1")
-            if args.beads is not None and args.beads < len(args.lam):
-                parser.error("--beads smaller than the number of parts")
             return cmd_abacus(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except (NotContained, InvalidPartition) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except ValueError as e:
+        # every ValueError of the library checks its input; broken invariants
+        # raise AssertionError
+        parser.error(str(e))
     raise AssertionError(f"unhandled command {args.command}")
 
 

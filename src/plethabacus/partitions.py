@@ -210,6 +210,7 @@ class SchurExpansion(_Record):
     __hash__ = None
 
     def __init__(self, degree: int, terms: dict[Partition, int] | None = None):
+        degree = _integer("degree", degree, 0)
         clean = {} if terms is None else {p: c for p, c in terms.items() if c != 0}
         for p in clean:
             if p.size() != degree:
@@ -271,7 +272,7 @@ class SchurExpansion(_Record):
                 terms[p] = index(t["coeff"])
             except TypeError:
                 raise ValueError(f"coeff must be an integer, got {t['coeff']!r}") from None
-        return cls(_integer("degree", data["degree"], 0), terms)
+        return cls(data["degree"], terms)
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:

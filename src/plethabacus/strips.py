@@ -27,7 +27,7 @@ from .abacus import (
     runner_beads,
     single_step_moves,
 )
-from .partitions import Box, Partition, SkewPartition, _integer, _Record, make_skew
+from .partitions import Box, Partition, SkewPartition, _integer, _Record
 
 
 class EmptySkew(ValueError):
@@ -74,15 +74,14 @@ def _bead_strip(
 ) -> BorderStrip | None:
     """The r-strip of outer removed by raising beads[i] r places, or None.
 
-    beads is outer's descending bead list; _raise_bead moves a copy, so
-    None means what it means there. The strip's top row is the moved
-    bead's row i + 1 and its bottom row is i + 1 + height.
+    beads is outer's descending bead list, a list the caller owns, which
+    _raise_bead moves in place; None means what it means there. The
+    strip's top row is the moved bead's row i + 1, its bottom row i + 1 + height.
     """
-    moved = beads.copy()
-    height = _raise_bead(moved, i, beads[i] - r, inner)
+    height = _raise_bead(beads, i, beads[i] - r, inner)
     if height is None:
         return None
-    mu, last = _partition_of_beads(moved), i + 1 + height
+    mu, last = _partition_of_beads(beads), i + 1 + height
     top_right, bottom_left = Box(i + 1, outer.part(i + 1)), Box(last, mu.part(last) + 1)
     return BorderStrip(outer, mu, height, top_right, bottom_left)
 
@@ -97,7 +96,7 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     s = _integer("strip length", s, 1)
     b = len(shape)
     beads, packed = _beads_of(shape, b), _beads_of((), b)
-    strips = (_bead_strip(shape, beads, i, s, packed) for i in range(b))
+    strips = (_bead_strip(shape, beads.copy(), i, s, packed) for i in range(b))
     return [st for st in strips if st is not None]
 
 
@@ -144,19 +143,24 @@ class Decomposition(NamedTuple):
 
 
 def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
-    """Greedy final-strip chain from outer to inner, or None if it gets stuck."""
+    """Greedy final-strip chain from outer to inner, or None if it gets stuck.
+
+    Walks one bead list as _greedy_heights does; a move leaves the beads
+    before it equal to inner's, so the first differing index never drops.
+    """
     r = _integer("strip length", r, 1)
     if skew.size() % r != 0:
         return None
-    nu = skew.inner
-    chain = [skew.outer]
-    strips = []
-    while chain[-1] != nu:
-        strip = final_border_strip(make_skew(chain[-1], nu), r)
-        if strip is None:
-            return None
-        strips.append(strip)
-        chain.append(strip.inner)
+    b = len(skew.outer)
+    beads, inner = _beads_of(skew.outer, b), _beads_of(skew.inner, b)
+    chain, strips = [skew.outer], []
+    for i in range(b):
+        while beads[i] != inner[i]:
+            strip = _bead_strip(chain[-1], beads, i, r, inner)
+            if strip is None:
+                return None
+            strips.append(strip)
+            chain.append(strip.inner)
     return Decomposition(tuple(chain), tuple(strips), r)
 
 
@@ -271,8 +275,8 @@ def _runner_move_data(a: Abacus, c: Abacus, r: int, t: int):
     return src, dst
 
 
-def _is_decomposable_runner(beads: set[int], src_all: set[int], dst: list[int], r: int):
-    """Interleaving test for one runner; beads is the runner's bead set of A."""
+def _is_decomposable_runner(beads: set[int], dst: list[int], r: int):
+    """Interleaving test for one runner; beads, its bead set of A, holds every bead probed."""
     moved_from = sorted(beads - set(dst))
     moved_to = sorted(set(dst) - beads)
     if len(moved_from) != len(moved_to):
@@ -284,7 +288,7 @@ def _is_decomposable_runner(beads: set[int], src_all: set[int], dst: list[int], 
         if prev is not None and alpha <= prev:
             return False
         # alpha and every step down to beta - r must be gaps
-        if any(p in src_all for p in range(alpha, beta, r)):
+        if any(p in beads for p in range(alpha, beta, r)):
             return False
         prev = beta
     return True
@@ -295,15 +299,13 @@ def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     r, t = _integer("r", r, 1), _integer("t", t, None)
     src, dst = _runner_move_data(a, c, r, t)
     beads = set(src)
-    if _is_decomposable_runner(beads, a.bead_positions, dst, r):
+    if _is_decomposable_runner(beads, dst, r):
         return RunnerType.I
     for eps in src:
         for gamma in range(eps - r, t - 1, -r):
             if gamma in beads:
                 continue
-            swapped = (beads - {eps}) | {gamma}
-            all_swapped = (a.bead_positions - {eps}) | {gamma}
-            if _is_decomposable_runner(swapped, all_swapped, dst, r):
+            if _is_decomposable_runner((beads - {eps}) | {gamma}, dst, r):
                 return RunnerType.II
     return RunnerType.III
 

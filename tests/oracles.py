@@ -7,8 +7,9 @@ that shares no code with the abacus machinery. Others are slower routes
 to library results, kept as references: a search of all subshapes for
 border strips, an exhaustive search for the type II pair set, the
 oracle's expansion through Kostka numbers or through one full
-bialternant matrix per partition of the degree, and the runner-by-runner
-generation of plethystic_mn's shapes.
+bialternant matrix per partition of the degree, the runner-by-runner
+generation of plethystic_mn's shapes, and the greedy chain read off one
+final_border_strip call per strip.
 
 The rest are small readings of shapes and abaci that no library path
 needs, kept for the checks that use them as references: the subshapes
@@ -37,11 +38,18 @@ from plethabacus.partitions import (
     SchurExpansion,
     SkewPartition,
     make_partition,
+    make_skew,
     partitions_of_size,
     partitions_of_size_containing,
 )
 from plethabacus.ring import _kostka, _solve_kostka
-from plethabacus.strips import BorderStrip, Decomposition, RunnerType, classify_runner
+from plethabacus.strips import (
+    BorderStrip,
+    Decomposition,
+    RunnerType,
+    classify_runner,
+    final_border_strip,
+)
 
 
 def subpartitions_of_size(shape: Partition, k: int) -> Iterator[Partition]:
@@ -129,6 +137,21 @@ def strip_height(abacus: Abacus, beta: int, s: int) -> int:
 def apply_moves(abacus: Abacus, moves: Sequence[BeadMove]) -> Abacus:
     """Apply a sequence of bead moves left to right; IllegalMove names a bad one."""
     return Abacus(abacus.bead_count, frozenset(final_positions(abacus, moves).values()))
+
+
+def final_strip_chain(skew: SkewPartition, r: int) -> Decomposition | None:
+    """r_decompose by its definition: final_border_strip of each new skew until inner."""
+    if skew.size() % r != 0:
+        return None
+    nu = skew.inner
+    chain, strips = [skew.outer], []
+    while chain[-1] != nu:
+        strip = final_border_strip(make_skew(chain[-1], nu), r)
+        if strip is None:
+            return None
+        strips.append(strip)
+        chain.append(strip.inner)
+    return Decomposition(tuple(chain), tuple(strips), r)
 
 
 def decomposition_moves(dec: Decomposition, bead_count: int | None = None) -> list[BeadMove]:

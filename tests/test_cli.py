@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -346,11 +347,17 @@ def test_package_import_leaves_the_cli_unloaded():
         ["verify", "--r-range", "1-2"],
         ["verify", "--max-nu-size", "-1"],
         ["nosuchcommand"],
+        ["expand", "--nu", "-", "--r", "1", "--ms", "1,0"],  # an m < 1
+        ["sgn", "--lambda", "1", "--nu", "-", "--r", "0"],  # r < 1
+        ["verify", "--max-degree", "-3"],
+        ["verify", "--m-range", "2..1"],
     ],
 )
 def test_usage_errors_exit_2(capsys, args):
-    code, _, _ = run_cli(capsys, args)
-    assert code == 2
+    # one format for every usage error, whether argparse or the library finds it
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"plethabacus( \w+)?: error: \S.*", err.splitlines()[-1]), err
 
 
 def test_module_entry_point_runs():

@@ -6,6 +6,7 @@ from oracles import (
     border_strips_geometric,
     brute_force_pair_set,
     decomposition_moves,
+    final_strip_chain,
     is_border_strip_pair,
     is_ribbon,
     minimal_distinct_row,
@@ -187,6 +188,21 @@ def test_r_decompose_empty_and_failures():
     assert r_decompose(make_skew(make_partition([2, 1, 1]), make_partition([])), 2) is None
     # size not divisible by r
     assert r_decompose(make_skew(make_partition([2, 1]), make_partition([])), 2) is None
+
+
+def test_r_decompose_is_the_iterated_final_strip_chain():
+    # the bead walk against its definition, on every skew with |lam| <= 8
+    shapes = list(partitions_up_to(8))
+    cases = 0
+    for lam in shapes:
+        for nu in shapes:
+            if not lam.contains(nu):
+                continue
+            for r in (1, 2, 3):
+                cases += 1
+                skew = make_skew(lam, nu)
+                assert r_decompose(skew, r) == final_strip_chain(skew, r), (lam, nu, r)
+    assert cases == 3 * 862
 
 
 def test_greedy_heights_kernel_matches_r_decompose():

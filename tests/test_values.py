@@ -186,6 +186,39 @@ def test_replace_checks_what_the_constructor_checks():
     assert VerifyConfig()._replace(max_degree=6).max_degree == 6
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        # unchecked, it reaches range() in run_verify as a TypeError
+        ({"r_range": (1.0, 2)}, "r range must be an integer, got 1.0"),
+        # unchecked, it is swept as a bound
+        ({"max_degree": 2.5}, "max_degree must be an integer, got 2.5"),
+        # unchecked, it reaches a comparison as a TypeError
+        ({"m_range": (1, "2")}, "m range must be an integer, got '2'"),
+        ({"r_range": (1, 2, 3)}, r"r range must be a pair, got \(1, 2, 3\)"),
+        ({"m_range": 2}, "m range must be a pair, got 2"),
+    ],
+)
+def test_verify_config_rejects_bounds_that_are_not_integers(bounds, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VerifyConfig(**bounds)
+
+
+@pytest.mark.parametrize(
+    "build, args, name",
+    [
+        (abacus_of, (Partition((2, 1)), 3.0), "bead_count"),
+        (abacus_of, (Partition((2, 1)), "3"), "bead_count"),
+        (Abacus, (2.0, [1, 2]), "bead_count"),
+        (Abacus, ("2", [1, 2]), "bead_count"),
+        (SchurExpansion, (2.0, {Partition((2,)): 1}), "degree"),
+    ],
+)
+def test_constructors_reject_integer_fields_that_are_not_integers(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        build(*args)
+
+
 INTEGERS = "parts must be integers: '{}' object cannot be interpreted as an integer"
 
 # the class and message each bad input raised before Partition became a tuple
