@@ -68,6 +68,15 @@ class Abacus(_AbacusFields):
         return tuple.__new__(cls, (bead_count, beads))
 
     @classmethod
+    def _trusted(cls, bead_count: int, bead_positions: frozenset[int]) -> "Abacus":
+        """An Abacus of positions valid by construction, with no conversion or check.
+
+        Only for callers that build a frozenset of bead_count distinct
+        non-negative ints; input from outside goes through Abacus(...).
+        """
+        return tuple.__new__(cls, (bead_count, bead_positions))
+
+    @classmethod
     def _make(cls, iterable) -> "Abacus":
         return cls(*iterable)
 
@@ -101,7 +110,7 @@ def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
     bead_count = len(shape) if bead_count is None else _integer("bead_count", bead_count, None)
     if bead_count < len(shape):
         raise BeadCountTooSmall(f"{bead_count} beads < {len(shape)} parts")
-    return Abacus(bead_count, frozenset(_beads_of(shape, bead_count)))
+    return Abacus._trusted(bead_count, frozenset(_beads_of(shape, bead_count)))
 
 
 def partition_of(abacus: Abacus) -> Partition:
@@ -148,24 +157,35 @@ def inversion_sign(abacus: Abacus, moves: Sequence[BeadMove]):
     return (-1) ** len(inverted), frozenset(inverted)
 
 
+def _runner_pair(source: Abacus, target: Abacus, r: int, t: int) -> tuple[list, list]:
+    """Sorted beads of runner t in source and in target, equal in number.
+
+    Checks the total bead counts first, then t (BadRunner), then the runner's counts.
+    """
+    if source.bead_count != target.bead_count:
+        raise IncompatibleAbaci(
+            f"bead counts {source.bead_count} != {target.bead_count}"
+        )
+    src = runner_beads(source, r, t)
+    dst = runner_beads(target, r, t)
+    if len(src) != len(dst):
+        raise IncompatibleAbaci(f"runner {t}: {len(src)} beads vs {len(dst)}")
+    return src, dst
+
+
 def single_step_moves(source: Abacus, target: Abacus, r: int) -> list[BeadMove]:
     """A canonical sequence of single-step (length r) moves from source to target.
 
     Beads never change runner under single-step moves, so per runner the
     k-th bead of the source must travel to the k-th position of the target;
     walking each runner top-down keeps every intermediate position free.
+    Runners with no bead in either abacus match and are skipped; unequal
+    totals leave a bead on some runner, where _runner_pair reports them.
     """
     r = _integer("r", r, 1)
-    if source.bead_count != target.bead_count:
-        raise IncompatibleAbaci(
-            f"bead counts {source.bead_count} != {target.bead_count}"
-        )
     moves: list[BeadMove] = []
-    for t in range(r):
-        src = runner_beads(source, r, t)
-        dst = runner_beads(target, r, t)
-        if len(src) != len(dst):
-            raise IncompatibleAbaci(f"runner {t}: {len(src)} beads vs {len(dst)}")
+    for t in sorted({p % r for p in source.bead_positions | target.bead_positions}):
+        src, dst = _runner_pair(source, target, r, t)
         for a, c in zip(src, dst):
             if c > a:
                 raise IncompatibleAbaci(

@@ -20,11 +20,11 @@ from .abacus import (
     IncompatibleAbaci,
     _beads_of,
     _partition_of_beads,
+    _runner_pair,
     abacus_of,
     final_positions,
     inversion_sign,
     partition_of,
-    runner_beads,
     single_step_moves,
 )
 from .partitions import Box, Partition, SkewPartition, _integer, _Record
@@ -145,7 +145,7 @@ class Decomposition(NamedTuple):
 def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     """Greedy final-strip chain from outer to inner, or None if it gets stuck.
 
-    Walks one bead list as _greedy_heights does; a move leaves the beads
+    Walks one bead list as _chain_sign does; a move leaves the beads
     before it equal to inner's, so the first differing index never drops.
     """
     r = _integer("strip length", r, 1)
@@ -191,36 +191,6 @@ def _raise_bead(beads: list[int], i: int, target: int, inner: list[int]) -> int 
     return j - i
 
 
-def _greedy_heights(beads: list[int], inner: list[int], r: int) -> list[int] | None:
-    """Strip heights along the greedy final r-strip chain from beads down to inner.
-
-    beads and inner are descending bead positions at one bead count, and
-    r >= 1 (the loop would not end otherwise). Each step raises the bead
-    at the first index where the lists differ r places, as
-    final_border_strip does. None where r_decompose gets stuck: the new
-    position is negative or holds a bead, or the moved list no longer
-    dominates inner entrywise. Entries only ever decrease, so beads that
-    do not dominate inner to begin with (outer not containing inner) also
-    give None.
-
-    The beads are moved in place, so the caller must pass a list it owns
-    and read nothing from it afterwards: after a non-None result it
-    equals inner, after None it is left part-moved.
-    """
-    n = len(beads)
-    heights = []
-    i = 0
-    while True:
-        while i < n and beads[i] == inner[i]:
-            i += 1
-        if i == n:
-            return heights
-        height = _raise_bead(beads, i, beads[i] - r, inner)
-        if height is None:
-            return None
-        heights.append(height)
-
-
 def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     """Common sign of every complete r-strip removal order from lam to nu, else 0.
 
@@ -241,12 +211,27 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
 
 
 def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
-    """(-1)^(sum of _greedy_heights), or 0 where the greedy chain gets stuck.
+    """Sign of the greedy final r-strip chain from beads down to inner, or 0.
 
-    Consumes beads, as _greedy_heights does.
+    beads and inner are descending bead positions at one bead count, and
+    r >= 1 (the loop would not end otherwise). Each step raises the bead
+    at the first index where the lists differ r places, as
+    final_border_strip does; an odd strip height flips the sign. 0 where
+    r_decompose gets stuck, and where beads do not dominate inner to
+    begin with (outer not containing inner), since entries only decrease.
+
+    beads is moved in place, so the caller passes a list it owns and reads
+    nothing from it afterwards: it equals inner after a nonzero result.
     """
-    heights = _greedy_heights(beads, inner, r)
-    return 0 if heights is None else (-1) ** sum(heights)
+    sign = 1
+    for i in range(len(beads)):
+        while beads[i] != inner[i]:
+            height = _raise_bead(beads, i, beads[i] - r, inner)
+            if height is None:
+                return 0
+            if height % 2:
+                sign = -sign
+    return sign
 
 
 def sgn_r(skew: SkewPartition, r: int) -> int:
@@ -263,16 +248,6 @@ class RunnerType(enum.Enum):
     I = "I"
     II = "II"
     III = "III"
-
-
-def _runner_move_data(a: Abacus, c: Abacus, r: int, t: int):
-    if a.bead_count != c.bead_count:
-        raise IncompatibleAbaci(f"bead counts {a.bead_count} != {c.bead_count}")
-    src = runner_beads(a, r, t)
-    dst = runner_beads(c, r, t)
-    if len(src) != len(dst):
-        raise IncompatibleAbaci(f"runner {t}: {len(src)} beads vs {len(dst)}")
-    return src, dst
 
 
 def _is_decomposable_runner(beads: set[int], dst: list[int], r: int):
@@ -297,7 +272,7 @@ def _is_decomposable_runner(beads: set[int], dst: list[int], r: int):
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     """Type I: decomposable; II: one upward bead swap away; III: neither."""
     r, t = _integer("r", r, 1), _integer("t", t, None)
-    src, dst = _runner_move_data(a, c, r, t)
+    src, dst = _runner_pair(a, c, r, t)
     beads = set(src)
     if _is_decomposable_runner(beads, dst, r):
         return RunnerType.I
@@ -365,8 +340,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     if profile.count(RunnerType.II) != 1 or profile.count(RunnerType.III) > 0:
         raise NotTypeIICase(f"runner profile {[p.value for p in profile]}")
     t = profile.index(RunnerType.II)
-    src = runner_beads(a, r, t)
-    dst = runner_beads(c, r, t)
+    src, dst = _runner_pair(a, c, r, t)
 
     delta_idx = max(
         (k for k in range(1, len(src)) if dst[k] <= src[k - 1]),
@@ -380,20 +354,19 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     i = delta_idx - 1
     while i > 0 and (src[i - 1] > dst[i] or dst[i] in a.bead_positions):
         i -= 1
-    alpha_0, alpha_1 = dst[i], dst[i + 1]
-    if alpha_0 in a.bead_positions:
-        raise AssertionError(f"runner {t}: landing position {alpha_0} holds a bead")
-    alpha, alpha_star = dst[i], dst[delta_idx]
+    alpha, alpha_1, alpha_star = dst[i], dst[i + 1], dst[delta_idx]
+    if alpha in a.bead_positions:
+        raise AssertionError(f"runner {t}: landing position {alpha} holds a bead")
 
-    gammas = list(range(alpha_0, alpha_1, r))
+    gammas = list(range(alpha, alpha_1, r))
     # exactly the swaps of delta or delta_star into one of the gaps gammas
     # make the runner decomposable
     pair_set = frozenset((eps, g) for eps in (delta, delta_star) for g in gammas)
 
+    walk = [BeadMove(p, p - r) for p in range(delta, delta_star, -r)]
     witnesses = []
     for gamma in gammas:
-        b_ab = Abacus(a.bead_count, (a.bead_positions - {delta}) | {gamma})
-        walk = [BeadMove(p, p - r) for p in range(delta, delta_star, -r)]
+        b_ab = Abacus._trusted(a.bead_count, (a.bead_positions - {delta}) | {gamma})
         tail = single_step_moves(b_ab, c, r)
         seq = [BeadMove(delta, gamma)] + tail
         seq_star = [BeadMove(delta_star, gamma)] + walk + tail
@@ -417,7 +390,9 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
                 P=pair_set,
                 mu=partition_of(b_ab),
                 mu_star=partition_of(
-                    Abacus(a.bead_count, (a.bead_positions - {delta_star}) | {gamma})
+                    Abacus._trusted(
+                        a.bead_count, (a.bead_positions - {delta_star}) | {gamma}
+                    )
                 ),
                 J=inv,
                 J_star=inv_star,

@@ -94,6 +94,18 @@ def test_abacus_of_pads_to_requested_count():
         abacus_of(make_partition([2, 1]), 1)
 
 
+def test_abacus_of_equals_the_checked_constructor():
+    # abacus_of builds its Abacus unchecked; it must be the value, hash
+    # and type that Abacus(...) builds from lam_i + b - i
+    for p in partitions_up_to(10):
+        for b in range(len(p), len(p) + 4):
+            parts = p + (0,) * (b - len(p))
+            want = Abacus(b, [x + b - i for i, x in enumerate(parts, 1)])
+            got = abacus_of(p, b)
+            assert got == want and hash(got) == hash(want), (p, b)
+            assert type(got) is Abacus, (p, b)
+
+
 def test_partition_of_examples():
     assert partition_of(Abacus(2, frozenset({1, 3}))) == make_partition([2, 1])
     assert partition_of(Abacus(4, frozenset({0, 1, 2, 3}))) == make_partition([])
@@ -228,18 +240,26 @@ def test_single_step_moves_reach_target():
 
 def test_single_step_moves_incompatibility():
     a = abacus_of(LAM, 7)
-    with pytest.raises(IncompatibleAbaci):
+    with pytest.raises(IncompatibleAbaci, match=r"^bead counts 7 != 6$"):
         single_step_moves(a, abacus_of(NU, 6), 2)  # bead counts differ
     # runner bead counts differ: (1) vs () at one bead on 2 runners
-    with pytest.raises(IncompatibleAbaci):
+    with pytest.raises(IncompatibleAbaci, match=r"^runner 0: 0 beads vs 1$"):
         single_step_moves(
             abacus_of(make_partition([1]), 1), abacus_of(make_partition([]), 1), 2
         )
     # target above source on its runner
-    with pytest.raises(IncompatibleAbaci):
+    with pytest.raises(IncompatibleAbaci, match=r"^runner 0: bead at 2 cannot move down to 3$"):
         single_step_moves(
             abacus_of(make_partition([1]), 2), abacus_of(make_partition([2]), 2), 1
         )
+
+
+def test_single_step_moves_walk_only_runners_with_beads():
+    # a runner with no bead in either abacus is skipped, whatever r is
+    a = abacus_of(LAM, 7)
+    assert single_step_moves(a, a, 10**9) == []
+    empty = abacus_of(make_partition([]))
+    assert single_step_moves(empty, empty, 10**9) == []
 
 
 def test_single_step_sign_matches_strip_signs():

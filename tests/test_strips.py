@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from oracles import (
@@ -17,6 +19,7 @@ from oracles import (
     subpartitions_of_size,
 )
 from plethabacus.abacus import (
+    BadRunner,
     IncompatibleAbaci,
     abacus_of,
     inversion_sign,
@@ -40,7 +43,7 @@ from plethabacus.strips import (
     sign_recursion_check,
 )
 from plethabacus.abacus import _beads_of, _partition_of_beads
-from plethabacus.strips import _greedy_heights, _raise_bead
+from plethabacus.strips import _chain_sign, _raise_bead
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -216,16 +219,15 @@ def test_greedy_heights_kernel_matches_r_decompose():
                         continue
                     cases += 1
                     dec = r_decompose(make_skew(lam, nu), r)
-                    want = None if dec is None else list(dec.heights)
                     # sgn/decompose print the chain's sign; sgn_r must agree
                     sign = 0 if dec is None else dec.sign
                     assert sgn_r(make_skew(lam, nu), r) == sign, (lam, nu, r)
                     for b in (len(lam), len(lam) + 3):
                         beads = sorted(abacus_of(lam, b).bead_positions, reverse=True)
                         inner = sorted(abacus_of(nu, b).bead_positions, reverse=True)
-                        assert _greedy_heights(beads, inner, r) == want, (lam, nu, r, b)
+                        assert _chain_sign(beads, inner, r) == sign, (lam, nu, r, b)
                         # the kernel moves beads in place, ending on nu's beads
-                        if want is not None:
+                        if sign:
                             assert beads == inner, (lam, nu, r, b)
     assert cases == 10614
 
@@ -328,6 +330,12 @@ def test_order_independent_sign_examples():
     assert order_independent_sign(make_partition([1]), make_partition([]), 2) == 0
 
 
+def test_order_independent_sign_ignores_empty_runners():
+    # an empty skew is reachable with no moves, at any number of runners
+    assert order_independent_sign(NU, NU, 10**9) == 1
+    assert order_independent_sign(make_partition([]), make_partition([]), 10**9) == 1
+
+
 def test_order_independent_sign_matches_exhaustive_orders():
     for lam, nu, r in skews_up_to(7, 7, (1, 2, 3)):
         signs = removal_sign_set(lam, nu, r)
@@ -369,10 +377,19 @@ def test_runner_is_decomposable_examples():
     assert not decomposable(a2, c2, 0)
     assert decomposable(a2, c2, 1)
     assert decomposable(a, a, 0)  # identical runners, no moves
-    with pytest.raises(IncompatibleAbaci):
+    with pytest.raises(IncompatibleAbaci, match=r"^bead counts 7 != 6$"):
         decomposable(a, abacus_of(NU, 6), 0)
-    with pytest.raises(IncompatibleAbaci):
+    with pytest.raises(IncompatibleAbaci, match=r"^runner 0: 0 beads vs 1$"):
         decomposable(abacus_of(make_partition([1]), 1), abacus_of(make_partition([]), 1), 0)
+
+
+def test_classify_runner_checks_totals_before_the_runner():
+    a = abacus_of(LAM, 7)
+    with pytest.raises(BadRunner, match=r"^runner 5 not in 0\.\.1$"):
+        classify_runner(a, abacus_of(NU, 7), 2, 5)
+    # unequal totals are reported even for a runner outside 0..r-1
+    with pytest.raises(IncompatibleAbaci, match=r"^bead counts 7 != 6$"):
+        classify_runner(a, abacus_of(NU, 6), 2, 5)
 
 
 def test_classify_runner_trichotomy():
@@ -460,6 +477,40 @@ def test_pairing_witness_summands_cancel():
             assert abs(term) == 1
         checked += 1
     assert checked > 20
+
+
+def test_pairing_witnesses_account_for_every_nonzero_summand():
+    # the paper's cancellation: where sgn_r(lam/nu) = 0, the nonzero
+    # summands of the recursion are exactly the mu and mu_star of the
+    # witnesses when one runner is type II and the rest type I, and
+    # there are none for any other profile
+    counts = Counter()
+    for lam in partitions_up_to(10):
+        for k in range(min(6, lam.size() - 1) + 1):
+            for nu in subpartitions_of_size(lam, k):
+                for r in range(1, 6):
+                    if (lam.size() - k) % r:
+                        continue
+                    report = sign_recursion_check(make_skew(lam, nu), r)
+                    if report.sgn_r_value:
+                        counts["decomposable"] += 1
+                        continue
+                    nonzero = Counter(s.mu for s in report.summands if s.value)
+                    a, c = abacus_of(lam), abacus_of(nu, len(lam))
+                    try:
+                        profile = runner_profile(a, c, r)
+                    except IncompatibleAbaci:
+                        profile = ()
+                    if profile.count(RunnerType.II) == 1 and RunnerType.III not in profile:
+                        counts["single type II"] += 1
+                        paired = Counter()
+                        for w in pairing_witness(a, c, r):
+                            paired.update((w.mu, w.mu_star))
+                        assert nonzero == paired, (lam, nu, r)
+                    else:
+                        counts["other"] += 1
+                        assert not nonzero, (lam, nu, r, profile)
+    assert counts == {"decomposable": 1489, "single type II": 1672, "other": 1690}
 
 
 def test_pairing_witness_json_fields():
