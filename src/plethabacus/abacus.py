@@ -118,11 +118,15 @@ def partition_of(abacus: Abacus) -> Partition:
     return _partition_of_beads(sorted(abacus.bead_positions, reverse=True))
 
 
+def _check_runner(r: int, t: int) -> None:
+    if not 0 <= t < r:
+        raise BadRunner(f"runner {t} not in 0..{r - 1}")
+
+
 def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
     """Sorted bead positions lying on runner t."""
     r, t = _integer("r", r, 1), _integer("t", t, None)
-    if not 0 <= t < r:
-        raise BadRunner(f"runner {t} not in 0..{r - 1}")
+    _check_runner(r, t)
     return sorted(p for p in abacus.bead_positions if p % r == t)
 
 
@@ -157,17 +161,20 @@ def inversion_sign(abacus: Abacus, moves: Sequence[BeadMove]):
     return (-1) ** len(inverted), frozenset(inverted)
 
 
-def _runner_pair(source: Abacus, target: Abacus, r: int, t: int) -> tuple[list, list]:
-    """Sorted beads of runner t in source and in target, equal in number.
-
-    Checks the total bead counts first, then t (BadRunner), then the runner's counts.
-    """
+def _runner_buckets(source: Abacus, target: Abacus, r: int) -> tuple[dict, dict]:
+    """Each abacus's ascending beads per runner holding one, after the total-count check."""
     if source.bead_count != target.bead_count:
-        raise IncompatibleAbaci(
-            f"bead counts {source.bead_count} != {target.bead_count}"
-        )
-    src = runner_beads(source, r, t)
-    dst = runner_beads(target, r, t)
+        raise IncompatibleAbaci(f"bead counts {source.bead_count} != {target.bead_count}")
+    buckets: tuple[dict, dict] = ({}, {})
+    for abacus, runners in zip((source, target), buckets):
+        for p in sorted(abacus.bead_positions):
+            runners.setdefault(p % r, []).append(p)
+    return buckets
+
+
+def _runner_pair(buckets: tuple[dict, dict], t: int) -> tuple[list, list]:
+    """Runner t's ascending beads in the two buckets of _runner_buckets, equal in number."""
+    src, dst = buckets[0].get(t, []), buckets[1].get(t, [])
     if len(src) != len(dst):
         raise IncompatibleAbaci(f"runner {t}: {len(src)} beads vs {len(dst)}")
     return src, dst
@@ -179,13 +186,13 @@ def single_step_moves(source: Abacus, target: Abacus, r: int) -> list[BeadMove]:
     Beads never change runner under single-step moves, so per runner the
     k-th bead of the source must travel to the k-th position of the target;
     walking each runner top-down keeps every intermediate position free.
-    Runners with no bead in either abacus match and are skipped; unequal
-    totals leave a bead on some runner, where _runner_pair reports them.
+    Runners with no bead in either abacus match and are skipped.
     """
     r = _integer("r", r, 1)
+    buckets = _runner_buckets(source, target, r)
     moves: list[BeadMove] = []
-    for t in sorted({p % r for p in source.bead_positions | target.bead_positions}):
-        src, dst = _runner_pair(source, target, r, t)
+    for t in sorted(buckets[0].keys() | buckets[1].keys()):
+        src, dst = _runner_pair(buckets, t)
         for a, c in zip(src, dst):
             if c > a:
                 raise IncompatibleAbaci(

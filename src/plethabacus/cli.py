@@ -12,7 +12,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from .abacus import IncompatibleAbaci, abacus_of
+from .abacus import IncompatibleAbaci, _runner_buckets, _runner_pair, abacus_of
 from .oracle import oracle_plethystic_mn
 from .partitions import (
     Partition,
@@ -22,7 +22,7 @@ from .partitions import (
     partitions_of_size_containing,
     partitions_up_to,
 )
-from .strips import classify_runner, r_decompose, sign_recursion_check
+from .strips import _runner_type, r_decompose, sign_recursion_check
 from .symfunc import plethystic_mn, plethystic_mn_multi
 
 
@@ -126,13 +126,14 @@ def cmd_expand(args) -> int:
 def _runner_kinds(lam: Partition, nu: Partition, r: int) -> list[str]:
     """Per runner t of r, `type I`/`II`/`III` or `bead counts differ`."""
     b = max(len(lam), len(nu), 1)
-    a, c = abacus_of(lam, b), abacus_of(nu, b)
-    kinds = []
-    for t in range(r):
+    # both abaci hold b beads, so only a runner's own counts can differ
+    buckets = _runner_buckets(abacus_of(lam, b), abacus_of(nu, b), r)
+    kinds = ["type I"] * r  # a runner with no bead
+    for t in buckets[0].keys() | buckets[1].keys():
         try:
-            kinds.append(f"type {classify_runner(a, c, r, t).value}")
+            kinds[t] = f"type {_runner_type(*_runner_pair(buckets, t))[0].value}"
         except IncompatibleAbaci:
-            kinds.append("bead counts differ")
+            kinds[t] = "bead counts differ"
     return kinds
 
 
@@ -212,9 +213,10 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     nus = list(partitions_up_to(config.max_nu_size))
     failures: list[tuple[int, str]] = []  # (degree, message)
     totals = {"expansion": 0, "recursion": 0}
-    for r in range(config.r_range[0], config.r_range[1] + 1):
-        for m in range(config.m_range[0], config.m_range[1] + 1):
-            # every case of a nu has degree d = r*m + |nu|
+    (r_lo, r_hi), (m_lo, m_hi) = config.r_range, config.m_range
+    # every case of a nu has degree d = r*m + |nu|, so r*m > max_degree has none
+    for r in range(r_lo, min(r_hi, config.max_degree // m_lo) + 1):
+        for m in range(m_lo, min(m_hi, config.max_degree // r) + 1):
             fits = [(r * m + nu.size(), nu) for nu in nus]
             fits = [(d, nu) for d, nu in fits if d <= config.max_degree]
             recursions = [(d, (lam, nu, r)) for d, nu in fits

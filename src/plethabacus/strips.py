@@ -19,7 +19,9 @@ from .abacus import (
     BeadMove,
     IncompatibleAbaci,
     _beads_of,
+    _check_runner,
     _partition_of_beads,
+    _runner_buckets,
     _runner_pair,
     abacus_of,
     final_positions,
@@ -250,44 +252,52 @@ class RunnerType(enum.Enum):
     III = "III"
 
 
-def _is_decomposable_runner(beads: set[int], dst: list[int], r: int):
-    """Interleaving test for one runner; beads, its bead set of A, holds every bead probed."""
-    moved_from = sorted(beads - set(dst))
-    moved_to = sorted(set(dst) - beads)
-    if len(moved_from) != len(moved_to):
-        return False
-    prev = None
-    for alpha, beta in zip(moved_to, moved_from):
-        if alpha >= beta:
-            return False
-        if prev is not None and alpha <= prev:
-            return False
-        # alpha and every step down to beta - r must be gaps
-        if any(p in beads for p in range(alpha, beta, r)):
-            return False
-        prev = beta
-    return True
+def _runner_type(src: list[int], dst: list[int]) -> tuple[RunnerType, range]:
+    """Type of one runner, and its stuck run k1..k2 when type II (else empty).
+
+    S = src and D = dst are the runner's ascending beads in the outer and
+    inner abacus. Type I is S[k-1] < D[k] <= S[k] for every k: each bead
+    rises within its own gap. Call k >= 1 stuck when D[k] <= S[k-1].
+    Raising the bead at index e to a gap landing at index g shifts
+    S[g..e-1] up one index, so the runner becomes type I only if every
+    index in g+1..e is stuck (with D[k] > S[k-2] above g+1) and nothing
+    else is, except possibly e+1; a raise moves no bead down, so a
+    D[k] > S[k] stays. Conversely, raising S[k2] or S[k2-1] to a gap in
+    D[k1-1]..D[k1]-1 lands it at index k1-1 and leaves a type I runner.
+    """
+    if any(d > s for s, d in zip(src, dst)):
+        return RunnerType.III, range(0)
+    stuck = [k for k in range(1, len(src)) if dst[k] <= src[k - 1]]
+    if not stuck:
+        return RunnerType.I, range(0)
+    run = range(stuck[0], stuck[-1] + 1)
+    if len(stuck) == len(run) and all(dst[k] > src[k - 2] for k in run[1:]):
+        return RunnerType.II, run
+    return RunnerType.III, range(0)
+
+
+def _typed_runners(a: Abacus, c: Abacus, r: int):
+    """(t, src, dst, type, stuck run) per runner holding a bead, in ascending t."""
+    buckets = _runner_buckets(a, c, r)
+    for t in sorted(buckets[0].keys() | buckets[1].keys()):
+        src, dst = _runner_pair(buckets, t)
+        yield (t, src, dst, *_runner_type(src, dst))
 
 
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     """Type I: decomposable; II: one upward bead swap away; III: neither."""
     r, t = _integer("r", r, 1), _integer("t", t, None)
-    src, dst = _runner_pair(a, c, r, t)
-    beads = set(src)
-    if _is_decomposable_runner(beads, dst, r):
-        return RunnerType.I
-    for eps in src:
-        for gamma in range(eps - r, t - 1, -r):
-            if gamma in beads:
-                continue
-            if _is_decomposable_runner((beads - {eps}) | {gamma}, dst, r):
-                return RunnerType.II
-    return RunnerType.III
+    buckets = _runner_buckets(a, c, r)
+    _check_runner(r, t)
+    return _runner_type(*_runner_pair(buckets, t))[0]
 
 
 def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
     r = _integer("r", r, 1)
-    return tuple(classify_runner(a, c, r, t) for t in range(r))
+    profile = [RunnerType.I] * r
+    for t, _, _, kind, _ in _typed_runners(a, c, r):
+        profile[t] = kind
+    return tuple(profile)
 
 
 class PairingWitness(NamedTuple):
@@ -329,38 +339,28 @@ class PairingWitness(NamedTuple):
 def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     """Witnesses of pairwise cancellation, one per admissible gap gamma.
 
-    Requires exactly one type II runner, the rest type I. On that runner
-    delta is the lowest bead whose neighbour above sits at or below the
-    bead's forced final position, delta_star is that neighbour, and the
-    gaps gamma run from the final position of the top of the bead block
-    containing delta up to (but excluding) the next forced final position.
+    Requires exactly one type II runner, the rest type I (a runner with no
+    bead is type I). On that runner, with ascending beads S, targets D and
+    stuck run k1..k2 (_runner_type), delta = S[k2] is the lowest stuck
+    bead, delta_star = S[k2-1] its neighbour above, and the gaps gamma run
+    from D[k1-1] up to (but excluding) D[k1].
     """
     r = _integer("r", r, 1)
-    profile = runner_profile(a, c, r)
-    if profile.count(RunnerType.II) != 1 or profile.count(RunnerType.III) > 0:
+    unfit = [x for x in _typed_runners(a, c, r) if x[3] is not RunnerType.I]
+    if len(unfit) != 1 or unfit[0][3] is not RunnerType.II:
+        profile = runner_profile(a, c, r)
         raise NotTypeIICase(f"runner profile {[p.value for p in profile]}")
-    t = profile.index(RunnerType.II)
-    src, dst = _runner_pair(a, c, r, t)
-
-    delta_idx = max(
-        (k for k in range(1, len(src)) if dst[k] <= src[k - 1]),
-        default=None,
-    )
-    if delta_idx is None:
+    t, src, dst, _, run = unfit[0]
+    if not run:
         raise AssertionError(f"type II runner {t} has no stuck bead")
-    delta, delta_star = src[delta_idx], src[delta_idx - 1]
-
-    # walk up to the top of the contiguous block of beads jammed over delta
-    i = delta_idx - 1
-    while i > 0 and (src[i - 1] > dst[i] or dst[i] in a.bead_positions):
-        i -= 1
-    alpha, alpha_1, alpha_star = dst[i], dst[i + 1], dst[delta_idx]
+    k1, k2 = run[0], run[-1]
+    delta, delta_star = src[k2], src[k2 - 1]
+    alpha, alpha_1, alpha_star = dst[k1 - 1], dst[k1], dst[k2]
     if alpha in a.bead_positions:
         raise AssertionError(f"runner {t}: landing position {alpha} holds a bead")
 
     gammas = list(range(alpha, alpha_1, r))
-    # exactly the swaps of delta or delta_star into one of the gaps gammas
-    # make the runner decomposable
+    # exactly the swaps of delta or delta_star into a gap gamma make the runner type I
     pair_set = frozenset((eps, g) for eps in (delta, delta_star) for g in gammas)
 
     walk = [BeadMove(p, p - r) for p in range(delta, delta_star, -r)]
@@ -380,24 +380,13 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
                 f"gamma={gamma}: beads {delta}, {delta_star} end at "
                 f"{finals[delta]}, {finals[delta_star]}, not {alpha}, {alpha_star}"
             )
-        witnesses.append(
-            PairingWitness(
-                delta=delta,
-                delta_star=delta_star,
-                gamma=gamma,
-                alpha=alpha,
-                alpha_star=alpha_star,
-                P=pair_set,
-                mu=partition_of(b_ab),
-                mu_star=partition_of(
-                    Abacus._trusted(
-                        a.bead_count, (a.bead_positions - {delta_star}) | {gamma}
-                    )
-                ),
-                J=inv,
-                J_star=inv_star,
-            )
+        mu_star = partition_of(
+            Abacus._trusted(a.bead_count, (a.bead_positions - {delta_star}) | {gamma})
         )
+        witnesses.append(PairingWitness(
+            delta, delta_star, gamma, alpha, alpha_star, pair_set,
+            partition_of(b_ab), mu_star, inv, inv_star,
+        ))
     return witnesses
 
 

@@ -5,7 +5,8 @@ raw box sets (connectivity walks, tableau fillings, exhaustive recursion)
 so that library results can be checked against a second implementation
 that shares no code with the abacus machinery. Others are slower routes
 to library results, kept as references: a search of all subshapes for
-border strips, an exhaustive search for the type II pair set, the
+border strips, the swap search that classifies a runner and the
+exhaustive search for the type II pair set built on it, the
 oracle's expansion through Kostka numbers or through one full
 bialternant matrix per partition of the degree, the runner-by-runner
 generation of plethystic_mn's shapes, and the greedy chain read off one
@@ -47,7 +48,6 @@ from plethabacus.strips import (
     BorderStrip,
     Decomposition,
     RunnerType,
-    classify_runner,
     final_border_strip,
 )
 
@@ -306,21 +306,59 @@ def border_strips_geometric(shape: Partition, s: int) -> list[BorderStrip]:
     return out
 
 
+def is_decomposable_runner(beads: set[int], dst: list[int], r: int) -> bool:
+    """Interleaving test for one runner; beads, its bead set of A, holds every bead probed."""
+    moved_from = sorted(beads - set(dst))
+    moved_to = sorted(set(dst) - beads)
+    if len(moved_from) != len(moved_to):
+        return False
+    prev = None
+    for alpha, beta in zip(moved_to, moved_from):
+        if alpha >= beta:
+            return False
+        if prev is not None and alpha <= prev:
+            return False
+        # alpha and every step down to beta - r must be gaps
+        if any(p in beads for p in range(alpha, beta, r)):
+            return False
+        prev = beta
+    return True
+
+
+def swap_search_runner_type(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
+    """Type of runner t by search: I if decomposable, II if one upward
+    (bead, gap) swap makes it so, III otherwise.
+
+    The reference for classify_runner's closed stuck-run test; the
+    runner's bead counts in a and c are assumed equal.
+    """
+    src, dst = runner_beads(a, r, t), runner_beads(c, r, t)
+    beads = set(src)
+    if is_decomposable_runner(beads, dst, r):
+        return RunnerType.I
+    for eps in src:
+        for gamma in range(eps - r, t - 1, -r):
+            if gamma in beads:
+                continue
+            if is_decomposable_runner((beads - {eps}) | {gamma}, dst, r):
+                return RunnerType.II
+    return RunnerType.III
+
+
 def brute_force_pair_set(a: Abacus, c: Abacus, r: int, t: int) -> frozenset:
     """All (bead, gap) swaps on runner t after which the runner is decomposable.
 
     The search behind PairingWitness.P, against which the closed form that
     pairing_witness uses is checked.
     """
-    src = runner_beads(a, r, t)
-    top = max(src + runner_beads(c, r, t), default=t) + r
+    src, dst = runner_beads(a, r, t), runner_beads(c, r, t)
+    top = max(src + dst, default=t) + r
     pairs = set()
     for eps in src:
         for gamma in range(t, top + 1, r):
             if gamma in a.bead_positions:
                 continue
-            swapped = Abacus(a.bead_count, (a.bead_positions - {eps}) | {gamma})
-            if classify_runner(swapped, c, r, t) is RunnerType.I:
+            if is_decomposable_runner((set(src) - {eps}) | {gamma}, dst, r):
                 pairs.add((eps, gamma))
     return frozenset(pairs)
 

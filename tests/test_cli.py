@@ -224,6 +224,15 @@ def test_verify_default_sweep():
     ]
 
 
+def test_verify_loops_stop_at_the_degree_bound(capsys):
+    # r*m > max_degree has no case: a huge r range ends at once, with the
+    # same output as the range that holds every case
+    wide = run_cli(capsys, ["verify", "--r-range", "1..1000000000", "--max-degree", "5"])
+    narrow = run_cli(capsys, ["verify", "--r-range", "1..5", "--max-degree", "5"])
+    assert wide == narrow
+    assert wide[0] == 0 and "PASS" in wide[1]
+
+
 def test_verify_past_degree_15(capsys):
     # degree 16 is past what the dense ring's packed exponent fields hold
     code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -17,8 +18,10 @@ from oracles import (
     ribbon_removals,
     skew_boxes,
     subpartitions_of_size,
+    swap_search_runner_type,
 )
 from plethabacus.abacus import (
+    Abacus,
     BadRunner,
     IncompatibleAbaci,
     abacus_of,
@@ -392,6 +395,20 @@ def test_classify_runner_checks_totals_before_the_runner():
         classify_runner(a, abacus_of(NU, 6), 2, 5)
 
 
+def test_classify_runner_matches_the_swap_search_on_random_runners():
+    # one runner (r = 1) of at most 6 beads at positions below 14, in both abaci
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(5000):
+        n = rng.randint(0, 6)
+        a = Abacus(n, rng.sample(range(14), n))
+        c = Abacus(n, rng.sample(range(14), n))
+        kind = classify_runner(a, c, 1, 0)
+        assert kind is swap_search_runner_type(a, c, 1, 0), (a, c)
+        seen[kind] += 1
+    assert min(seen[kind] for kind in RunnerType) > 100, seen
+
+
 def test_classify_runner_trichotomy():
     a2, c2 = abacus_of(LAM2, 9), abacus_of(NU2, 9)
     assert classify_runner(a2, c2, 2, 0) == RunnerType.II
@@ -402,6 +419,15 @@ def test_classify_runner_trichotomy():
     # unreachable runner that no single swap can fix
     a3, c3 = abacus_of(make_partition([3, 1]), 2), abacus_of(make_partition([2]), 2)
     assert runner_profile(a3, c3, 2) == (RunnerType.I, RunnerType.III)
+
+
+def test_runners_with_no_bead_are_type_i_without_a_test():
+    # only the runners that hold a bead are classified, so a large r costs
+    # little more than the profile's r entries
+    a = abacus_of(LAM, 7)
+    assert runner_profile(a, a, 10**6) == (RunnerType.I,) * 10**6
+    with pytest.raises(NotTypeIICase):
+        pairing_witness(a, a, 10**5)
 
 
 def test_type_iii_and_double_type_ii_force_zero():
@@ -501,6 +527,10 @@ def test_pairing_witnesses_account_for_every_nonzero_summand():
                         profile = runner_profile(a, c, r)
                     except IncompatibleAbaci:
                         profile = ()
+                    else:
+                        # the closed stuck-run test agrees with the swap search
+                        reference = [swap_search_runner_type(a, c, r, t) for t in range(r)]
+                        assert list(profile) == reference, (lam, nu, r)
                     if profile.count(RunnerType.II) == 1 and RunnerType.III not in profile:
                         counts["single type II"] += 1
                         paired = Counter()
