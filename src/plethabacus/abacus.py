@@ -10,7 +10,7 @@ between the two positions.
 
 from __future__ import annotations
 
-from operator import index
+from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Partition, _integer
@@ -93,16 +93,18 @@ class Abacus(_AbacusFields):
 def _beads_of(parts: tuple[int, ...], bead_count: int) -> list[int]:
     """Descending bead positions of a partition at bead_count >= its length."""
     padded = parts + (0,) * (bead_count - len(parts))
-    return [p + bead_count - i for i, p in enumerate(padded, 1)]
+    # row i (1-based) sits at part i + bead_count - i
+    return list(map(add, padded, range(bead_count - 1, -1, -1)))
 
 
 def _partition_of_beads(beads: Sequence[int]) -> Partition:
     """Partition encoded by descending bead positions; inverse of _beads_of."""
-    n = k = len(beads)
-    while k and beads[k - 1] == n - k:
-        k -= 1  # zero parts: beads packed at positions 0, 1, ... at the bottom
+    n = len(beads)
     # row i (1-based) of n beads has part beads[i - 1] + i - n
-    return Partition._trusted([b + i for i, b in enumerate(beads[:k], 1 - n)])
+    parts = list(map(add, beads, range(1 - n, 1)))
+    # the parts are weakly decreasing and non-negative, so the zeros end the list
+    del parts[n - parts.count(0):]
+    return Partition._trusted(parts)
 
 
 def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:

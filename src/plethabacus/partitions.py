@@ -63,16 +63,13 @@ class Partition(tuple):
             raise InvalidPartition(f"parts must be weakly decreasing: {parts}")
         return tuple.__new__(cls, parts)
 
-    @classmethod
-    def _trusted(cls, parts: Iterable[int]) -> "Partition":
-        """A Partition of parts valid by construction, with no conversion or check.
-
-        Only for callers that build positive weakly decreasing ints
-        themselves, as a tuple or a list (bead lists, the enumerator,
-        make_partition after its own checks); input from outside goes
-        through Partition(...) or make_partition.
-        """
-        return tuple.__new__(cls, parts)
+    # _trusted(parts): a Partition of parts valid by construction, with no
+    # conversion or check. Only for callers that build positive weakly
+    # decreasing ints themselves, as a tuple or a list (bead lists, the
+    # enumerators, make_partition after its own checks); input from
+    # outside goes through Partition(...) or make_partition. It is
+    # tuple.__new__ itself, so a call runs no Python frame.
+    _trusted = classmethod(tuple.__new__)
 
     parts = property(tuple, doc="The parts as a plain tuple; a copy, so hot loops use self.")
 
@@ -115,12 +112,14 @@ def make_partition(parts: Iterable[int]) -> Partition:
     positive weakly decreasing ints then needs no second pass.
     """
     seq = _integers(parts)
-    if seq and min(seq) < 0:
-        raise InvalidPartition(f"negative part in {seq}")
-    if not all(map(ge, seq, seq[1:])):
+    # a weakly decreasing list is non-negative when its last entry is;
+    # only bad input pays for the min that picks the message
+    if seq and (seq[-1] < 0 or not all(map(ge, seq, seq[1:]))):
+        if min(seq) < 0:
+            raise InvalidPartition(f"negative part in {seq}")
         raise InvalidPartition(f"not weakly decreasing: {seq}")
-    while seq and seq[-1] == 0:
-        seq.pop()
+    # the zeros of a weakly decreasing non-negative list end it
+    del seq[len(seq) - seq.count(0):]
     return Partition._trusted(seq)
 
 
@@ -139,7 +138,8 @@ class SkewPartition(_SkewFields):
     __slots__ = ()
 
     def __new__(cls, outer: Partition, inner: Partition) -> "SkewPartition":
-        if not outer.contains(inner):
+        # Partition.contains, inline: a sweep builds a skew per case
+        if len(outer) < len(inner) or not all(map(ge, outer, inner)):
             raise NotContained(f"{inner} is not contained in {outer}")
         return tuple.__new__(cls, (outer, inner))
 
@@ -277,17 +277,7 @@ class SchurExpansion(_Record):
 
 def partitions_of_size(n: int) -> Iterator[Partition]:
     """All partitions of n, in descending lexicographic order."""
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    for parts in gen(n, n):
-        yield Partition._trusted(parts)
+    return partitions_of_size_containing(n, Partition())
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
@@ -297,9 +287,29 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
 
 
 def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partition]:
-    """Partitions of n whose diagram contains inner."""
+    """Partitions of n whose diagram contains inner, in descending lexicographic order.
+
+    The usual reverse-lexicographic walk, with a least length per row
+    (inner's part on inner's rows, 1 below them): the lowest row that can
+    lose a box loses one, and the rows below it are refilled, each as long
+    as the row above and the boxes inner still needs below it allow. Every
+    shape built is kept, so none is filtered out.
+    """
     if inner.size() > n:
         return
-    for lam in partitions_of_size(n):
-        if lam.contains(inner):
-            yield lam
+    least = [*inner, *[1] * (n - len(inner))]
+    # needed[i]: the boxes inner has in its rows i, i + 1, ... (0-based)
+    needed = [sum(inner[i:]) for i in range(n + 1)]
+    rows, left = [], n  # left: the boxes of n not yet in rows
+    while True:
+        while left:
+            row = min(rows[-1] if rows else n, left - needed[len(rows) + 1])
+            rows.append(row)
+            left -= row
+        yield Partition._trusted(rows)
+        while rows and rows[-1] == least[len(rows) - 1]:
+            left += rows.pop()
+        if not rows:
+            return
+        rows[-1] -= 1
+        left += 1

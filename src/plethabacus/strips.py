@@ -12,6 +12,7 @@ moves on the r-runner abacus.
 from __future__ import annotations
 
 import enum
+from operator import add
 from typing import NamedTuple
 
 from .abacus import (
@@ -348,8 +349,10 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     r = _integer("r", r, 1)
     unfit = [x for x in _typed_runners(a, c, r) if x[3] is not RunnerType.I]
     if len(unfit) != 1 or unfit[0][3] is not RunnerType.II:
-        profile = runner_profile(a, c, r)
-        raise NotTypeIICase(f"runner profile {[p.value for p in profile]}")
+        named = ", ".join(f"{x[0]} ({x[3].value})" for x in unfit) or "none"
+        raise NotTypeIICase(
+            f"need one type II runner and the rest type I; runners not type I: {named}"
+        )
     t, src, dst, _, run = unfit[0]
     if not run:
         raise AssertionError(f"type II runner {t} has no stuck bead")
@@ -432,6 +435,14 @@ class SignRecursionReport(_Record):
         return sum(s.value for s in self.summands)
 
 
+# The tail table: sgn_r(mu/nu) of every tail mu/nu that sign_recursion_check
+# has signed, one dict per (nu, r) keyed by mu. It holds at most _TAIL_CAP
+# signs in all and is cleared when full.
+_TAIL_CAP = 1 << 15
+_tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
+_tail_count = 0
+
+
 def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     """Evaluate both sides of the strip-length recursion for sgn_r.
 
@@ -452,19 +463,30 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     below inner[j] before, entry j now holds something lower still (the
     next passed bead, which sat below the old free target, or the lower
     new target).
+
+    A tail sign sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep
+    meets most tails many times, so each is computed once and then read
+    from the tail table.
     """
+    global _tail_count
     r = _integer("strip length", r, 1)
-    if skew.size() % r != 0:
-        raise NotDivisible(f"size {skew.size()} not divisible by {r}")
+    size = skew.size()
+    m, rest = divmod(size, r)
+    if rest:
+        raise NotDivisible(f"size {size} not divisible by {r}")
     lam, nu = skew.outer, skew.inner
-    m = skew.size() // r
     b = max(len(lam), len(nu), 1)
     beads = _beads_of(lam, b)
     inner = _beads_of(nu, b)
     occupied = set(beads)
+    # row i (1-based) of b beads has part beads[i - 1] + i - b
+    offsets = range(1 - b, 1)
+    tails = _tails.get((nu, r))
+    if tails is None:
+        tails = _tails[nu, r] = {}
     # lam contains nu, so beads already dominates inner entrywise
     summands = []
-    summand = tuple.__new__  # a RecursionSummand, with no Python-level constructor call
+    new = tuple.__new__  # a Partition or a RecursionSummand, with no Python-level call
     # runner by runner, each top-down as beads is descending; an empty skew
     # (m = 0) has no summands, whatever the size of r
     for t in range(r if m else 0):
@@ -479,12 +501,20 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 height = _raise_bead(moved, i, target, inner)
                 if height is None:
                     break
-                # decode mu before _chain_sign consumes moved
-                mu = _partition_of_beads(moved)
+                # decode mu (abacus._partition_of_beads, inline) before a
+                # table miss lets _chain_sign consume moved
+                parts = list(map(add, moved, offsets))
+                del parts[b - parts.count(0):]
+                mu = new(Partition, parts)
+                tail = tails.get(mu)
+                if tail is None:
+                    if _tail_count >= _TAIL_CAP:
+                        _tails.clear()
+                        tails = _tails[nu, r] = {}
+                        _tail_count = 0
+                    tail = tails[mu] = _chain_sign(moved, inner, r)
+                    _tail_count += 1
                 summands.append(
-                    summand(
-                        RecursionSummand,
-                        (mu, q * r, (-1) ** height, _chain_sign(moved, inner, r)),
-                    )
+                    new(RecursionSummand, (mu, q * r, -1 if height & 1 else 1, tail))
                 )
     return SignRecursionReport(skew, r, m, _chain_sign(beads, inner, r), tuple(summands))

@@ -52,6 +52,25 @@ from plethabacus.strips import (
 )
 
 
+def partitions_by_first_part(n: int) -> Iterator[Partition]:
+    """All partitions of n in descending lexicographic order, by recursion on the first part.
+
+    The tests' reference for the row walk of partitions_of_size and
+    partitions_of_size_containing.
+    """
+
+    def gen(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    for parts in gen(n, n):
+        yield Partition(parts)
+
+
 def subpartitions_of_size(shape: Partition, k: int) -> Iterator[Partition]:
     """Partitions of k contained in shape."""
     for mu in partitions_of_size(k):

@@ -45,6 +45,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
+import plethabacus.strips as strips_module
 from plethabacus.abacus import _beads_of, _partition_of_beads
 from plethabacus.strips import _chain_sign, _raise_bead
 
@@ -470,6 +471,23 @@ def test_pairing_witness_golden_values():
     )
 
 
+def test_not_type_ii_message_names_only_the_runners_not_type_i():
+    # neither the message nor the work grows with r: at r = 10**12 a
+    # per-runner profile could not even be allocated
+    a = abacus_of(LAM, 7)
+    for r in (10**6, 10**12):
+        with pytest.raises(NotTypeIICase) as e:
+            pairing_witness(a, a, r)
+        assert str(e.value) == (
+            "need one type II runner and the rest type I; runners not type I: none"
+        )
+    lam, nu = make_partition([2, 2, 2, 2]), make_partition([])
+    with pytest.raises(NotTypeIICase, match=r"runners not type I: 0 \(II\), 1 \(II\)$"):
+        pairing_witness(abacus_of(lam, 4), abacus_of(nu, 4), 2)
+    with pytest.raises(NotTypeIICase, match=r"runners not type I: 1 \(III\)$"):
+        pairing_witness(abacus_of(make_partition([3, 1]), 2), abacus_of(make_partition([2]), 2), 2)
+
+
 def test_pairing_witness_requires_type_ii_profile():
     with pytest.raises(NotTypeIICase):
         pairing_witness(abacus_of(LAM, 7), abacus_of(NU, 7), 2)
@@ -656,3 +674,44 @@ def test_sign_recursion_pruning_keeps_every_summand():
         assert got == want, (lam, nu, r)
     # where sign_recursion_check breaks out of its q loop
     assert stops == 1382
+
+
+def _empty_tail_table(monkeypatch):
+    monkeypatch.setattr(strips_module, "_tails", {})
+    monkeypatch.setattr(strips_module, "_tail_count", 0)
+
+
+def test_tail_table_leaves_reports_unchanged(monkeypatch):
+    # a sweep whose tails repeat across skews, run on an empty table, on
+    # the table it filled, and in reverse order on an empty table again
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
+    _empty_tail_table(monkeypatch)
+    cold = [sign_recursion_check(skew, r) for skew, r in cases]
+    held = sum(map(len, strips_module._tails.values()))
+    assert 0 < held == strips_module._tail_count
+    full = [sign_recursion_check(skew, r) for skew, r in cases]
+    _empty_tail_table(monkeypatch)
+    backwards = [sign_recursion_check(skew, r) for skew, r in reversed(cases)][::-1]
+    assert full == cold and backwards == cold
+    assert list(map(repr, full)) == list(map(repr, cold)) == list(map(repr, backwards))
+    # every tail sign the table served is the sign of its own skew
+    for (skew, r), report in zip(cases, full):
+        for s in report.summands:
+            assert s.tail_sign == sgn_r(make_skew(s.mu, skew.inner), r), (skew, r, s.mu)
+
+
+def test_tail_table_never_exceeds_its_cap(monkeypatch):
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
+    _empty_tail_table(monkeypatch)
+    want = [sign_recursion_check(skew, r) for skew, r in cases]
+    uncapped = strips_module._tail_count
+    monkeypatch.setattr(strips_module, "_TAIL_CAP", 5)
+    _empty_tail_table(monkeypatch)
+    got, peak = [], 0
+    for skew, r in cases:
+        got.append(sign_recursion_check(skew, r))
+        held = sum(map(len, strips_module._tails.values()))
+        assert held == strips_module._tail_count <= 5, (skew, r)
+        peak = max(peak, held)
+    assert uncapped > 5 and peak == 5
+    assert got == want and list(map(repr, got)) == list(map(repr, want))
