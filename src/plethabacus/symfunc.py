@@ -8,7 +8,9 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from .abacus import _beads_of, _partition_of_beads
+from operator import add
+
+from .abacus import _beads_of
 from .partitions import Partition, SchurExpansion, _integer
 
 
@@ -23,39 +25,63 @@ def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
 def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_m): sgn_r(lam/nu) over lam.
 
+    The input checks, then the one walk kernel _terms, which the folds
+    call too, so every product of this module is read off the same walk.
+    Each term is built along its greedy chain run in reverse, and the
+    last step reads its parts off the moved bead list, cut at its row
+    count, with no decode call per term.
+    """
+    r, m = _integer("r", r, 1), _integer("m", m, 0)
+    return SchurExpansion._trusted(nu.size() + r * m, _terms(nu, r, m))
+
+
+def _terms(nu: Partition, r: int, m: int) -> dict[Partition, int]:
+    """The terms of s_nu * (p_r applied to h_m), for checked r >= 1, m >= 0.
+
     Each lam is built by running its greedy final r-strip chain in
     reverse, from nu upward, so its sign is (-1) to the sum of the heights
     of the chain that built it. Each r-decomposable lam has exactly one
     greedy chain, so it is built once, and every lam built is
     r-decomposable, since that chain is its decomposition.
 
-    The state is mu's descending bead list at len(nu) + r beads, one
+    The state is mu's descending bead list at n = len(nu) + r beads, one
     padding bead per runner, with k the length of its common prefix with
-    nu's list; at the start mu = nu and k = len(nu) + r. A reverse step
-    takes the bead at index idx, at position p, with t = p + r free. It
-    lands at index i, the number of beads at positions greater than t,
-    and passes idx - i beads: the strip height. The step is valid exactly
-    when i <= k and t > nu_beads[i]. Then the greedy first removal from
-    the new lam raises that bead back to p and gives mu, and the new k is
-    i. The second condition always holds, because mu dominates nu
-    entrywise and t exceeds mu's entry at i. Beads at positions
-    <= mu[k] - r cannot land at i <= k, so the scan stops there, and
-    every bead scanned before it satisfies i <= k.
+    nu's list; at the start mu = nu and k = n. A reverse step takes the
+    bead at index idx, at position p, with t = p + r free. It lands at
+    index i, the number of beads at positions greater than t, and passes
+    idx - i beads: the strip height. The step is valid exactly when
+    i <= k and t > nu_beads[i]. Then the greedy first removal from the
+    new lam raises that bead back to p and gives mu, and the new k is i.
+    The second condition always holds, because mu dominates nu entrywise
+    and t exceeds mu's entry at i. Beads at positions <= mu[k] - r cannot
+    land at i <= k, so the scan stops there, and every bead scanned
+    before it satisfies i <= k.
+
+    A step copies mu's list, deletes the bead at idx and inserts t at i.
+    Row j of a list has part beads[j] + j + 1 - n. Rows above i keep
+    mu's parts, the new part at i exceeds mu's part there, rows
+    i + 1 .. idx hold mu's rows i .. idx - 1 one row lower, each part one
+    larger, and the rows below idx keep mu's parts. The state carries z,
+    mu's row count (len(nu) at the start), and i <= z: the zero-part
+    beads fill positions 0 .. n - z - 1, so a t among them is taken. So
+    lam has max(z, idx + 1) rows, and a last step cuts its list there and
+    maps positions to parts in one C-level map: no term has a zero part,
+    and no decode function runs per term.
 
     One padding bead per runner suffices: in an r-decomposable lam/nu only
     the top bead of each runner's packed stack of zero-part beads moves,
     so lam has at most len(nu) + r rows.
     """
-    r, m = _integer("r", r, 1), _integer("m", m, 0)
     if m == 0:
-        return SchurExpansion._trusted(nu.size(), {nu: 1})
+        return {nu: 1}
     nu_beads = _beads_of(nu, len(nu) + r)
     n = len(nu_beads)
+    trusted, offsets = Partition._trusted, range(1 - n, 1)
     terms: dict[Partition, int] = {}
     # depth first on an explicit stack: a recursion would be m calls deep
-    stack = [(nu_beads, n, 0, m)]
+    stack = [(nu_beads, n, len(nu), 0, m)]
     while stack:
-        beads, k, height, left = stack.pop()
+        beads, k, z, height, left = stack.pop()
         floor = beads[k] - r if k < n else -1
         for idx, p in enumerate(beads):
             if p <= floor:
@@ -66,22 +92,25 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
                 i -= 1
             if i and beads[i - 1] == t:
                 continue
-            lam = beads[:i]
-            lam.append(t)
-            lam += beads[i:idx]
-            lam += beads[idx + 1 :]
+            lam = beads.copy()
+            del lam[idx]
+            lam.insert(i, t)
             h = height + idx - i
+            rows = z if idx < z else idx + 1
             if left > 1:
-                stack.append((lam, i, h, left - 1))
+                stack.append((lam, i, rows, h, left - 1))
                 continue
-            shape = _partition_of_beads(lam)
+            del lam[rows:]
+            # from a list of known length: a tuple built from the map itself
+            # is resized, and its spare temporaries fill the free lists
+            shape = trusted(list(map(add, lam, offsets)))
             count = len(terms)
             terms[shape] = -1 if h & 1 else 1
             if len(terms) == count:
                 raise AssertionError(
                     f"candidate {shape} over {nu} with r={r}, m={m} is repeated"
                 )
-    return SchurExpansion._trusted(nu.size() + r * m, terms)
+    return terms
 
 
 def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
@@ -89,17 +118,23 @@ def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
 
     The factors commute and every coefficient is an exact int, so they
     are applied in ascending r*m order (a stable sort): the small factors
-    first, while the expansion they act on is still small. The callers
-    check every factor before the first expansion.
+    first, while the expansion they act on is still small. Each factor
+    merges c * d over the walk's own term dicts, _terms(p, r, m) for
+    every term c * s_p so far, into a plain dict, and drops the zeros;
+    the one SchurExpansion is built at the end. The callers check every
+    factor before the first expansion.
     """
-    acc = SchurExpansion(nu.size(), {nu: 1})
+    acc = {nu: 1}
+    degree = nu.size()
     for r, m in sorted(factors, key=lambda f: f[0] * f[1]):
         terms: dict[Partition, int] = {}
-        for p, c in acc.terms.items():
-            for q, d in plethystic_mn(p, r, m).terms.items():
-                terms[q] = terms.get(q, 0) + c * d
-        acc = SchurExpansion(acc.degree + r * m, terms)
-    return acc
+        get = terms.get
+        for p, c in acc.items():
+            for q, d in _terms(p, r, m).items():
+                terms[q] = get(q, 0) + c * d
+        acc = {q: c for q, c in terms.items() if c}
+        degree += r * m
+    return SchurExpansion._trusted(degree, acc)
 
 
 def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:

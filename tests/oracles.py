@@ -9,8 +9,10 @@ border strips, the swap search that classifies a runner and the
 exhaustive search for the type II pair set built on it, the
 oracle's expansion through Kostka numbers or through one full
 bialternant matrix per partition of the degree, the runner-by-runner
-generation of plethystic_mn's shapes, and the greedy chain read off one
-final_border_strip call per strip.
+generation of plethystic_mn's shapes, the greedy chain read off one
+final_border_strip call per strip, and the folds of
+plethystic_mn_multi and power_product_pleth through the public
+plethystic_mn, with a checked expansion per factor.
 
 The rest are small readings of shapes and abaci that no library path
 needs, kept for the checks that use them as references: the subshapes
@@ -50,6 +52,7 @@ from plethabacus.strips import (
     RunnerType,
     final_border_strip,
 )
+from plethabacus.symfunc import plethystic_mn
 
 
 def partitions_by_first_part(n: int) -> Iterator[Partition]:
@@ -516,3 +519,21 @@ def runner_raise_candidates(nu: Partition, r: int, m: int) -> set[Partition]:
 
     assemble(0, m, [])
     return shapes
+
+
+def public_fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
+    """s_nu times the product of p_r applied to h_m over (r, m), one public call per term.
+
+    The folds' reference: the factors in ascending r*m order (a stable
+    sort), each term c * s_p times the public plethystic_mn(p, r, m),
+    and a checked SchurExpansion after every factor, which drops the
+    zeros and checks every degree.
+    """
+    acc = SchurExpansion(nu.size(), {nu: 1})
+    for r, m in sorted(factors, key=lambda f: f[0] * f[1]):
+        terms: dict[Partition, int] = {}
+        for p, c in acc.terms.items():
+            for q, d in plethystic_mn(p, r, m).terms.items():
+                terms[q] = terms.get(q, 0) + c * d
+        acc = SchurExpansion(acc.degree + r * m, terms)
+    return acc

@@ -7,12 +7,14 @@ import pytest
 
 from oracles import (
     horizontal_strip_additions,
+    public_fold,
     ribbon_additions,
     runner_raise_candidates,
     runner_raises,
 )
 from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
+    Partition,
     make_partition,
     make_skew,
     partitions_of_size,
@@ -242,13 +244,16 @@ def test_runner_raises_equal_brute_force():
 
 def test_plethystic_mn_rejects_unsigned_and_repeated_candidates(monkeypatch):
     # every term is built along its own greedy chain, so no unsigned
-    # candidate can arise; a decoder that maps every bead list to one
-    # shape makes every term after the first a repeat
-    nu = make_partition([1])
+    # candidate can arise; a start list with every bead at one position
+    # lets each of nu's rows take the same step, so the walk builds a
+    # term twice
+    nu = make_partition([1, 1, 1])
     with monkeypatch.context() as patch:
-        patch.setattr(symfunc, "_partition_of_beads", lambda beads: make_partition([5]))
-        with pytest.raises(AssertionError, match="repeated"):
-            plethystic_mn(nu, 2, 2)
+        patch.setattr(symfunc, "_beads_of", lambda parts, n: [2] * n)
+        for m in (1, 2):
+            with pytest.raises(AssertionError, match="repeated"):
+                plethystic_mn(nu, 2, m)
+    assert len(plethystic_mn(nu, 2, 1).terms) > 1
     assert len(plethystic_mn(nu, 2, 2).terms) > 1
 
 
@@ -256,15 +261,16 @@ def test_plethystic_mn_check_survives_optimize_flag():
     code = (
         "import sys\n"
         "from plethabacus import make_partition, symfunc\n"
-        "symfunc._partition_of_beads = lambda beads: make_partition([5])\n"
-        "try:\n"
-        "    symfunc.plethystic_mn(make_partition([1]), 2, 2)\n"
-        "except AssertionError:\n"
-        "    print('raised', sys.flags.optimize)\n"
+        "symfunc._beads_of = lambda parts, n: [2] * n\n"
+        "for m in (1, 2):\n"
+        "    try:\n"
+        "        symfunc.plethystic_mn(make_partition([1, 1, 1]), 2, m)\n"
+        "    except AssertionError:\n"
+        "        print('raised', m, sys.flags.optimize)\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised 1\n"
+    assert proc.stdout == "raised 1 1\nraised 2 1\n"
 
 
 def test_plethystic_mn_signs_equal_greedy_kernel():
@@ -382,11 +388,13 @@ def test_fold_checks_every_factor_before_expanding(monkeypatch):
     nu = make_partition([1])
     expanded = []
 
+    terms = symfunc._terms
+
     def recording(p, r, m):
         expanded.append((p, r, m))
-        return plethystic_mn(p, r, m)
+        return terms(p, r, m)
 
-    monkeypatch.setattr(symfunc, "plethystic_mn", recording)
+    monkeypatch.setattr(symfunc, "_terms", recording)
     with pytest.raises(ValueError, match="^r must be >= 1"):
         plethystic_mn_multi(nu, 0, [])
     with pytest.raises(ValueError, match="^m must be >= 0"):
@@ -470,3 +478,61 @@ def test_fold_result_does_not_depend_on_factor_order():
                     assert expansion_dict(power_product_pleth(nu, list(order), m)) == want
                     folds += 1
     assert folds == 7 * (3 * (3 + 2 + 2) + 2 * (6 + 2))
+
+
+def ordered(expansion):
+    return expansion.degree, list(expansion.terms.items())
+
+
+def test_folds_match_the_public_fold_in_order():
+    # both folds against one public plethystic_mn call per term with a
+    # checked expansion per factor: the same terms, coefficients and
+    # insertion order, with m = 0 factors and products that cancel
+    multi_ms = ([0], [1, 1], [2, 1], [1, 2], [0, 2], [2, 0, 1], [2, 2], [3, 1, 1], [1, 1, 1, 1])
+    power_rs = ([1, 2], [2, 1], [3, 1], [1, 1, 2], [2, 2], [1, 3, 2], [4, 1])
+    folds = 0
+    for nu in partitions_up_to(5):
+        for r in (1, 2, 3, 4):
+            for ms in multi_ms:
+                if nu.size() + r * sum(ms) <= 18:
+                    want = ordered(public_fold(nu, [(r, m) for m in ms]))
+                    assert ordered(plethystic_mn_multi(nu, r, ms)) == want, (nu, r, ms)
+                    folds += 1
+        for rs in power_rs:
+            for m in (0, 1, 2, 3):
+                if nu.size() + sum(rs) * m <= 18:
+                    want = ordered(public_fold(nu, [(r, m) for r in rs]))
+                    assert ordered(power_product_pleth(nu, rs, m)) == want, (nu, rs, m)
+                    folds += 1
+    assert folds == 1125
+    # p_2 * p_1 = (s_2 - s_11) * s_1: the two s_21 terms cancel
+    assert expansion_dict(power_product_pleth(make_partition([]), [2, 1], 1)) == {
+        (3,): 1,
+        (1, 1, 1): -1,
+    }
+    big = plethystic_mn_multi(make_partition([]), 4, [3, 3, 3])
+    assert ordered(big) == ordered(public_fold(make_partition([]), [(4, 3)] * 3))
+    assert len(big.terms) == 3556
+    dense = plethystic_mn_multi(make_partition([]), 2, [2] * 6)
+    assert ordered(dense) == ordered(public_fold(make_partition([]), [(2, 2)] * 6))
+    assert max(map(abs, dense.terms.values())) == 3696
+
+
+def test_plethystic_mn_terms_are_partitions_of_the_degree():
+    # each last step cuts the moved bead list at lam's row count and maps
+    # it to parts with no decode: no term may carry a zero part, a part
+    # out of order or a wrong size
+    cases = terms = 0
+    for nu in partitions_up_to(6):
+        for r in (1, 2, 3, 4):
+            for m in range(0, 19):
+                if nu.size() + r * m > 18:
+                    break
+                e = plethystic_mn(nu, r, m)
+                for p in e.terms:
+                    assert type(p) is Partition, (p, nu, r, m)
+                    assert p == make_partition(list(p)), (p, nu, r, m)
+                    assert p.size() == e.degree, (p, nu, r, m)
+                    terms += 1
+                cases += 1
+    assert (cases, terms) == (944, 7049)
