@@ -12,7 +12,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from .abacus import IncompatibleAbaci, _runner_buckets, _runner_pair, abacus_of
+from .abacus import IncompatibleAbaci, abacus_of
 from .oracle import oracle_plethystic_mn
 from .partitions import (
     Partition,
@@ -22,7 +22,7 @@ from .partitions import (
     partitions_of_size_containing,
     partitions_up_to,
 )
-from .strips import _runner_type, r_decompose, sign_recursion_check
+from .strips import classify_runner, r_decompose, sign_recursion_check
 from .symfunc import plethystic_mn, plethystic_mn_multi
 
 
@@ -127,17 +127,17 @@ def _runner_kinds(lam: Partition, nu: Partition, r: int) -> list[str]:
     """Per runner t of r, `type I`/`II`/`III` or `bead counts differ`."""
     b = max(len(lam), len(nu), 1)
     # both abaci hold b beads, so only a runner's own counts can differ
-    buckets = _runner_buckets(abacus_of(lam, b), abacus_of(nu, b), r)
+    a, c = abacus_of(lam, b), abacus_of(nu, b)
     kinds = ["type I"] * r  # a runner with no bead
-    for t in buckets[0].keys() | buckets[1].keys():
+    for t in {p % r for p in a.bead_positions | c.bead_positions}:
         try:
-            kinds[t] = f"type {_runner_type(*_runner_pair(buckets, t))[0].value}"
+            kinds[t] = f"type {classify_runner(a, c, r, t).value}"
         except IncompatibleAbaci:
             kinds[t] = "bead counts differ"
     return kinds
 
 
-def cmd_sgn(args, full_chain: bool) -> int:
+def cmd_sgn(args) -> int:
     lam, nu, r = args.lam, args.nu, args.r
     skew = make_skew(lam, nu)
     dec = r_decompose(skew, r)
@@ -163,7 +163,7 @@ def cmd_sgn(args, full_chain: bool) -> int:
             print(f"runner {t}: {kind}")
         return 0
     print("heights: " + ",".join(str(h) for h in dec.heights))
-    if full_chain:
+    if args.command == "decompose":
         for i, p in enumerate(dec.chain):
             print(f"mu^({i}) = {_format_partition(p)}")
     return 0
@@ -244,8 +244,7 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds = args.max_nu_size, args.r_range, args.m_range, args.max_degree
-    return run_verify(VerifyConfig(*bounds))
+    return run_verify(VerifyConfig._make(getattr(args, name) for name in VerifyConfig._fields))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--m", type=_positive_int)
     group.add_argument("--ms", type=_parse_int_list)
     p_expand.add_argument("--format", choices=["text", "json"], default="text")
+    p_expand.set_defaults(handler=cmd_expand)
 
     for name, help_text in [
         ("sgn", "sign of the greedy r-strip decomposition"),
@@ -272,17 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=_parse_partition, default=make_partition([]))
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(handler=cmd_sgn)
 
     p_abacus = sub.add_parser("abacus", help="render the runner diagram of a partition")
     p_abacus.add_argument("--lambda", dest="lam", type=_parse_partition, required=True)
     p_abacus.add_argument("--runners", type=_positive_int, required=True)
     p_abacus.add_argument("--beads", type=int, default=None)
+    p_abacus.set_defaults(handler=cmd_abacus)
 
     p_verify = sub.add_parser("verify", help="sweep the expansion and recursion identities")
-    p_verify.add_argument("--max-nu-size", type=int, default=4)
-    p_verify.add_argument("--r-range", type=_parse_range, default=(1, 3))
-    p_verify.add_argument("--m-range", type=_parse_range, default=(1, 3))
-    p_verify.add_argument("--max-degree", type=int, default=12)
+    p_verify.add_argument("--max-nu-size", type=int)
+    p_verify.add_argument("--r-range", type=_parse_range)
+    p_verify.add_argument("--m-range", type=_parse_range)
+    p_verify.add_argument("--max-degree", type=int)
+    p_verify.set_defaults(handler=cmd_verify, **VerifyConfig._field_defaults)
     return parser
 
 
@@ -291,19 +294,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "expand":
-            return cmd_expand(args)
-        if args.command in ("sgn", "decompose"):
-            return cmd_sgn(args, full_chain=args.command == "decompose")
-        if args.command == "abacus":
-            return cmd_abacus(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return args.handler(args)
     except ValueError as e:
         # every ValueError of the library checks its input; broken invariants
         # raise AssertionError
         parser.error(str(e))
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -487,9 +487,9 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     # lam contains nu, so beads already dominates inner entrywise
     summands = []
     new = tuple.__new__  # a Partition or a RecursionSummand, with no Python-level call
-    # runner by runner, each top-down as beads is descending; an empty skew
-    # (m = 0) has no summands, whatever the size of r
-    for t in range(r if m else 0):
+    # runner by runner over those holding a bead, each top-down as beads is
+    # descending; an empty skew (m = 0) has no summands
+    for t in sorted({beta % r for beta in beads}) if m else ():
         for i, beta in enumerate(beads):
             if beta % r != t:
                 continue

@@ -1,7 +1,9 @@
 """The public surface of the package root: exactly these names, no others."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 from types import ModuleType
 
 import plethabacus
@@ -92,3 +94,17 @@ def test_every_public_function_and_class_is_exported():
                 continue
             if value.__module__ == module.__name__:
                 assert getattr(plethabacus, name, None) is value, f"{layer}.{name}"
+
+
+def test_cli_imports_no_private_name_of_the_combinatorial_layers():
+    # the command line rebuilds no runner or expansion rule of its own
+    path = Path(plethabacus.__file__).parent / "cli.py"
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] in {"abacus", "strips", "symfunc"}
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -102,6 +102,29 @@ def test_sgn_runner_report_when_bead_counts_differ(capsys):
     ]
 
 
+def test_sgn_reports_runners_that_hold_no_bead(capsys):
+    # on 2 beads (3,1) sits at 4, 1 and () at 1, 0, so runners 2, 3, 5 and 6 hold none
+    code, out, _ = run_cli(capsys, ["sgn", "--lambda", "3,1", "--r", "7"])
+    assert code == 0
+    assert out == (
+        "sgn_7((3,1)/()) = 0\n"
+        "runner 0: bead counts differ\n"
+        "runner 1: type I\n"
+        "runner 2: type I\n"
+        "runner 3: type I\n"
+        "runner 4: bead counts differ\n"
+        "runner 5: type I\n"
+        "runner 6: type I\n"
+    )
+    code, out, _ = run_cli(capsys, ["sgn", "--lambda", "3,1", "--r", "7", "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{"lambda": [3, 1], "nu": [], "r": 7, "sign": 0, "decomposition": null,'
+        ' "runners": ["bead counts differ", "type I", "type I", "type I",'
+        ' "bead counts differ", "type I", "type I"]}\n'
+    )
+
+
 def test_sgn_json_schema(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -175,6 +198,12 @@ def test_abacus_with_extra_beads(capsys):
     )
     assert code == 0
     assert out == "0 1\nX o\nX o\nX o\n"
+
+
+def test_verify_defaults_are_the_config_defaults():
+    args = cli.build_parser().parse_args(["verify"])
+    config = cli.VerifyConfig()
+    assert {name: getattr(args, name) for name in config._fields} == config._asdict()
 
 
 def test_verify_small_sweep_passes(capsys):

@@ -645,9 +645,10 @@ def test_sign_recursion_holds_on_small_sweep():
 
 
 def test_sign_recursion_pruning_keeps_every_summand():
-    # the unpruned loop: every (bead, q <= m) on a fresh copy, skipping Nones
+    # the unpruned loop: every (bead, q <= m) on a fresh copy, skipping Nones;
+    # r = 5, 6, 7 leave runners empty between occupied ones
     stops = 0
-    for lam, nu, r in skews_up_to(8, 6, (1, 2, 3, 4)):
+    for lam, nu, r in skews_up_to(8, 6, (1, 2, 3, 4, 5, 6, 7)):
         m = (lam.size() - nu.size()) // r
         b = max(len(lam), len(nu), 1)
         beads = _beads_of(lam.parts, b)
@@ -673,7 +674,17 @@ def test_sign_recursion_pruning_keeps_every_summand():
         got = [(s.mu, s.strip_length, s.strip_sign, s.tail_sign) for s in report.summands]
         assert got == want, (lam, nu, r)
     # where sign_recursion_check breaks out of its q loop
-    assert stops == 1382
+    assert stops == 1420
+
+
+def test_sign_recursion_walks_only_runners_holding_a_bead():
+    # one row of 10**12 boxes: a walk over every runner would never end
+    big = 10**12
+    report = sign_recursion_check(make_skew(make_partition([big]), make_partition([])), big)
+    assert report.lhs == report.rhs == 1
+    assert report.summands == ((make_partition([]), big, 1, 1),)
+    empty = sign_recursion_check(make_skew(make_partition([big]), make_partition([big])), big)
+    assert (empty.m, empty.summands) == (0, ())
 
 
 def _empty_tail_table(monkeypatch):
