@@ -58,6 +58,7 @@ from .strips import (
     pairing_witness,
     r_decompose,
     runner_profile,
+    runner_types,
     sgn_r,
     sign_recursion_check,
 )

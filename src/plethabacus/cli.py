@@ -12,7 +12,7 @@ import json
 import sys
 from typing import NamedTuple
 
-from .abacus import IncompatibleAbaci, abacus_of
+from .abacus import abacus_of
 from .oracle import oracle_plethystic_mn
 from .partitions import (
     Partition,
@@ -22,7 +22,7 @@ from .partitions import (
     partitions_of_size_containing,
     partitions_up_to,
 )
-from .strips import classify_runner, r_decompose, sign_recursion_check
+from .strips import r_decompose, runner_types, sign_recursion_check
 from .symfunc import plethystic_mn, plethystic_mn_multi
 
 
@@ -127,13 +127,9 @@ def _runner_kinds(lam: Partition, nu: Partition, r: int) -> list[str]:
     """Per runner t of r, `type I`/`II`/`III` or `bead counts differ`."""
     b = max(len(lam), len(nu), 1)
     # both abaci hold b beads, so only a runner's own counts can differ
-    a, c = abacus_of(lam, b), abacus_of(nu, b)
     kinds = ["type I"] * r  # a runner with no bead
-    for t in {p % r for p in a.bead_positions | c.bead_positions}:
-        try:
-            kinds[t] = f"type {classify_runner(a, c, r, t).value}"
-        except IncompatibleAbaci:
-            kinds[t] = "bead counts differ"
+    for t, kind in runner_types(abacus_of(lam, b), abacus_of(nu, b), r).items():
+        kinds[t] = "bead counts differ" if kind is None else f"type {kind.value}"
     return kinds
 
 

@@ -12,7 +12,7 @@ moves on the r-runner abacus.
 from __future__ import annotations
 
 import enum
-from operator import add
+from operator import ge
 from typing import NamedTuple
 
 from .abacus import (
@@ -293,6 +293,24 @@ def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     return _runner_type(*_runner_pair(buckets, t))[0]
 
 
+def runner_types(a: Abacus, c: Abacus, r: int) -> dict[int, RunnerType | None]:
+    """Type of each runner holding a bead of a or c, in ascending t, from one bucket pass.
+
+    None marks a runner whose two bead counts differ; unequal total bead
+    counts raise IncompatibleAbaci. A runner left out holds no bead and is
+    type I.
+    """
+    r = _integer("r", r, 1)
+    buckets = _runner_buckets(a, c, r)
+    types: dict[int, RunnerType | None] = {}
+    for t in sorted(buckets[0].keys() | buckets[1].keys()):
+        try:
+            types[t] = _runner_type(*_runner_pair(buckets, t))[0]
+        except IncompatibleAbaci:
+            types[t] = None
+    return types
+
+
 def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
     r = _integer("r", r, 1)
     profile = [RunnerType.I] * r
@@ -442,31 +460,83 @@ _TAIL_CAP = 1 << 15
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
 _tail_count = 0
 
+# The removal table: per (lam, r) that sign_recursion_check has met, the
+# largest m it was asked for, its size (one for lam and one per removal)
+# and the removals of _strip_removals up to that m. It holds at most
+# _REMOVAL_CAP in size and is cleared when full.
+_REMOVAL_CAP = 1 << 15
+_removals: dict[tuple[Partition, int], tuple[int, int, tuple]] = {}
+_removal_count = 0
+
+
+def _strip_removals(lam: Partition, r: int, m: int) -> tuple[tuple[tuple, ...], ...]:
+    """(mu, q*r, strip sign) per removal of a q*r-strip from lam, for every q <= m at least.
+
+    One group per bead of lam's descending bead list at b = max(len(lam), 1)
+    beads, in report order (by runner, then by bead position descending),
+    each group in ascending q over the free targets beta - q*r >= 0, each
+    removal one _raise_bead move. Read from the removal table,
+    and extended there when m exceeds the largest m it was built for, so a
+    build costs the removals of q <= m only, however large lam is.
+    """
+    global _removal_count
+    q_done, held, groups = _removals.get((lam, r), (0, 0, None))
+    if q_done >= m:
+        return groups
+    b = max(len(lam), 1)
+    beads = _beads_of(lam, b)
+    occupied, packed = set(beads), _beads_of((), b)
+    grown = []
+    # a stable sort by runner keeps each runner's positions descending
+    for group, i in zip(groups or ((),) * b, sorted(range(b), key=lambda k: beads[k] % r)):
+        beta = beads[i]
+        more = []
+        for target in range(beta - (q_done + 1) * r, max(beta - m * r, 0) - 1, -r):
+            if target in occupied:
+                continue
+            # every descending list dominates the packed one, so this move succeeds
+            moved = beads.copy()
+            height = _raise_bead(moved, i, target, packed)
+            more.append((_partition_of_beads(moved), beta - target, -1 if height & 1 else 1))
+        grown.append(group + tuple(more))
+    groups = tuple(grown)
+    size = 1 + sum(map(len, groups))
+    if _removal_count - held + size > _REMOVAL_CAP:
+        _removals.clear()
+        _removal_count = held = 0
+    if size <= _REMOVAL_CAP:
+        _removals[lam, r] = (m, size, groups)
+        _removal_count += size - held
+    return groups
+
 
 def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     """Evaluate both sides of the strip-length recursion for sgn_r.
 
     Summands range over removals of a single border strip of length
-    divisible by r whose complement still contains the inner shape,
-    ordered by runner index and then by bead position descending. On the
-    outer shape's descending bead list such a removal moves a bead beta
-    to a gap beta - s >= 0; its height is the number of beads passed, and
-    the complement contains the inner shape when the moved list still
-    dominates the inner shape's bead list entrywise.
+    divisible by r whose complement mu still contains the inner shape
+    nu, ordered by runner index, then by bead position descending, then
+    by strip length. On the outer shape's descending bead list such a
+    removal moves a bead beta to a free position beta - s >= 0, and its
+    height is the number of beads passed.
 
-    Candidates that cannot give a summand are pruned before the bead list
-    is copied: q stops at beta // r, so the target is never negative, and
-    a target that holds a bead is skipped. The q loop ends at the first
-    free target whose moved list fails to dominate inner, since every
-    larger q fails too: the bead then passes a superset of the same
-    beads, each shifted to the same index as before, and where it landed
-    below inner[j] before, entry j now holds something lower still (the
-    next passed bead, which sat below the old free target, or the lower
-    new target).
+    The removals depend on lam and r alone, so they are read from the
+    removal table (_strip_removals), shared by every inner shape, and this
+    call keeps those whose mu contains nu. The pruning is: mu contains nu,
+    first failure ends the bead's group. Every longer strip of that bead
+    fails too: the bead then passes a superset of the same beads, each
+    shifted to the same index as before, and where the moved list fell
+    below nu's bead list at index j before, entry j now holds something
+    lower still (the next passed bead, which sat below the old free
+    target, or the lower new target). A strip longer than m*r leaves mu
+    smaller than nu, so no group needs removals past q = m.
 
     A tail sign sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep
     meets most tails many times, so each is computed once and then read
-    from the tail table.
+    from the tail table; a mu found there contains nu. Both tables are
+    private, have no option, and are cleared when full: the tail table
+    at _TAIL_CAP signs, the removal table at _REMOVAL_CAP (one per outer
+    shape and one per removal). Neither changes a report.
     """
     global _tail_count
     r = _integer("strip length", r, 1)
@@ -475,46 +545,28 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     if rest:
         raise NotDivisible(f"size {size} not divisible by {r}")
     lam, nu = skew.outer, skew.inner
-    b = max(len(lam), len(nu), 1)
-    beads = _beads_of(lam, b)
+    # lam contains nu, so b beads hold both
+    b = max(len(lam), 1)
     inner = _beads_of(nu, b)
-    occupied = set(beads)
-    # row i (1-based) of b beads has part beads[i - 1] + i - b
-    offsets = range(1 - b, 1)
+    rows = len(nu)
     tails = _tails.get((nu, r))
     if tails is None:
         tails = _tails[nu, r] = {}
-    # lam contains nu, so beads already dominates inner entrywise
     summands = []
-    new = tuple.__new__  # a Partition or a RecursionSummand, with no Python-level call
-    # runner by runner over those holding a bead, each top-down as beads is
-    # descending; an empty skew (m = 0) has no summands
-    for t in sorted({beta % r for beta in beads}) if m else ():
-        for i, beta in enumerate(beads):
-            if beta % r != t:
-                continue
-            for q in range(1, min(m, beta // r) + 1):
-                target = beta - q * r
-                if target in occupied:
-                    continue
-                moved = beads.copy()
-                height = _raise_bead(moved, i, target, inner)
-                if height is None:
+    new = tuple.__new__  # a RecursionSummand, with no Python-level call
+    # an empty skew (m = 0) has no summands
+    for group in _strip_removals(lam, r, m) if m else ():
+        for mu, length, sign in group:
+            tail = tails.get(mu)
+            if tail is None:
+                if len(mu) < rows or not all(map(ge, mu, nu)):
                     break
-                # decode mu (abacus._partition_of_beads, inline) before a
-                # table miss lets _chain_sign consume moved
-                parts = list(map(add, moved, offsets))
-                del parts[b - parts.count(0):]
-                mu = new(Partition, parts)
-                tail = tails.get(mu)
-                if tail is None:
-                    if _tail_count >= _TAIL_CAP:
-                        _tails.clear()
-                        tails = _tails[nu, r] = {}
-                        _tail_count = 0
-                    tail = tails[mu] = _chain_sign(moved, inner, r)
-                    _tail_count += 1
-                summands.append(
-                    new(RecursionSummand, (mu, q * r, -1 if height & 1 else 1, tail))
-                )
-    return SignRecursionReport(skew, r, m, _chain_sign(beads, inner, r), tuple(summands))
+                if _tail_count >= _TAIL_CAP:
+                    _tails.clear()
+                    tails = _tails[nu, r] = {}
+                    _tail_count = 0
+                tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
+                _tail_count += 1
+            summands.append(new(RecursionSummand, (mu, length, sign, tail)))
+    lhs = _chain_sign(_beads_of(lam, b), inner, r)
+    return SignRecursionReport(skew, r, m, lhs, tuple(summands))

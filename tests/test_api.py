@@ -56,6 +56,7 @@ PUBLIC = {
     "pairing_witness",
     "r_decompose",
     "runner_profile",
+    "runner_types",
     "sgn_r",
     "sign_recursion_check",
     # symfunc

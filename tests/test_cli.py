@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import plethabacus.cli as cli
+import plethabacus.strips as strips
 from plethabacus.partitions import make_partition
 from plethabacus.strips import SignRecursionReport
 from plethabacus.symfunc import SchurExpansion, plethystic_mn, plethystic_mn_multi
@@ -123,6 +124,24 @@ def test_sgn_reports_runners_that_hold_no_bead(capsys):
         ' "runners": ["bead counts differ", "type I", "type I", "type I",'
         ' "bead counts differ", "type I", "type I"]}\n'
     )
+
+
+def test_sgn_runner_report_buckets_the_abaci_once(capsys, monkeypatch):
+    calls = []
+    bucket = strips._runner_buckets
+    monkeypatch.setattr(
+        strips, "_runner_buckets", lambda *args: calls.append(args) or bucket(*args)
+    )
+    for fmt in ("text", "json"):
+        for command in ("sgn", "decompose"):
+            calls.clear()
+            args = [command, "--lambda", "10,10,8,5,5,5,1", "--nu", "4,4,4,2,2", "--r", "2"]
+            assert run_cli(capsys, args + ["--format", fmt])[0] == 0
+            assert len(calls) == 1, (fmt, command)
+    # a decomposable skew lists no runners in text
+    calls.clear()
+    assert run_cli(capsys, ["sgn", "--lambda", "3,1", "--r", "2"])[0] == 0
+    assert calls == []
 
 
 def test_sgn_json_schema(capsys):

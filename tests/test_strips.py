@@ -29,7 +29,7 @@ from plethabacus.abacus import (
     runner_beads,
     single_step_moves,
 )
-from plethabacus.partitions import Box, make_partition, make_skew, partitions_up_to
+from plethabacus.partitions import Box, Partition, make_partition, make_skew, partitions_up_to
 from plethabacus.strips import (
     EmptySkew,
     NotDivisible,
@@ -42,6 +42,7 @@ from plethabacus.strips import (
     pairing_witness,
     r_decompose,
     runner_profile,
+    runner_types,
     sgn_r,
     sign_recursion_check,
 )
@@ -311,6 +312,7 @@ RUNNER_CALLS = {
     "classify_runner r": lambda a, c, x: classify_runner(a, c, x, 0),
     "classify_runner t": lambda a, c, x: classify_runner(a, c, 2, x),
     "runner_profile r": runner_profile,
+    "runner_types r": runner_types,
     "pairing_witness r": pairing_witness,
     "single_step_moves r": single_step_moves,
 }
@@ -420,6 +422,24 @@ def test_classify_runner_trichotomy():
     # unreachable runner that no single swap can fix
     a3, c3 = abacus_of(make_partition([3, 1]), 2), abacus_of(make_partition([2]), 2)
     assert runner_profile(a3, c3, 2) == (RunnerType.I, RunnerType.III)
+
+
+def test_runner_types_match_classify_runner_on_every_occupied_runner():
+    for lam in partitions_up_to(7):
+        for nu in partitions_up_to(lam.size()):
+            b = max(len(lam), len(nu), 1)
+            a, c = abacus_of(lam, b), abacus_of(nu, b)
+            for r in (1, 2, 3, 5, 7):
+                want = {}
+                for t in sorted({p % r for p in a.bead_positions | c.bead_positions}):
+                    try:
+                        want[t] = classify_runner(a, c, r, t)
+                    except IncompatibleAbaci:
+                        want[t] = None
+                got = runner_types(a, c, r)
+                assert got == want and list(got) == list(want), (lam, nu, r)
+    with pytest.raises(IncompatibleAbaci, match=r"^bead counts 7 != 6$"):
+        runner_types(abacus_of(LAM, 7), abacus_of(NU, 6), 2)
 
 
 def test_runners_with_no_bead_are_type_i_without_a_test():
@@ -726,3 +746,77 @@ def test_tail_table_never_exceeds_its_cap(monkeypatch):
         peak = max(peak, held)
     assert uncapped > 5 and peak == 5
     assert got == want and list(map(repr, got)) == list(map(repr, want))
+
+
+def _empty_removal_table(monkeypatch):
+    monkeypatch.setattr(strips_module, "_removals", {})
+    monkeypatch.setattr(strips_module, "_removal_count", 0)
+
+
+def _removals_held():
+    # one for each outer shape and one for each removal it holds
+    return sum(1 + sum(map(len, groups)) for _, _, groups in strips_module._removals.values())
+
+
+def test_removal_table_leaves_reports_unchanged(monkeypatch):
+    # each (lam, r) meets several inner shapes; run on an empty table, on the
+    # table it filled, in reverse order, in ascending m (so each outer
+    # shape's removals are extended), and on a table emptied before each call
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
+    _empty_removal_table(monkeypatch)
+    cold = [sign_recursion_check(skew, r) for skew, r in cases]
+    assert 0 < _removals_held() == strips_module._removal_count
+    warm = [sign_recursion_check(skew, r) for skew, r in cases]
+    _empty_removal_table(monkeypatch)
+    backwards = [sign_recursion_check(skew, r) for skew, r in reversed(cases)][::-1]
+    _empty_removal_table(monkeypatch)
+    by_m = sorted(range(len(cases)), key=lambda k: cases[k][0].size() // cases[k][1])
+    growing = dict(zip(by_m, [sign_recursion_check(*cases[k]) for k in by_m]))
+    alone = []
+    for skew, r in cases:
+        _empty_removal_table(monkeypatch)
+        alone.append(sign_recursion_check(skew, r))
+    want = list(map(repr, cold))
+    for got in (warm, backwards, [growing[k] for k in range(len(cases))], alone):
+        assert list(map(repr, got)) == want
+    for report in warm:
+        for s in report.summands:
+            assert type(s.mu) is Partition and make_partition(s.mu) == s.mu, (report, s)
+
+
+def test_removal_table_never_exceeds_its_cap(monkeypatch):
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
+    _empty_removal_table(monkeypatch)
+    want = [sign_recursion_check(skew, r) for skew, r in cases]
+    uncapped = strips_module._removal_count
+    cap = 40
+    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", cap)
+    _empty_removal_table(monkeypatch)
+    got, peak = [], 0
+    for skew, r in cases:
+        got.append(sign_recursion_check(skew, r))
+        held = _removals_held()
+        assert held == strips_module._removal_count <= cap, (skew, r)
+        peak = max(peak, held)
+    assert uncapped > cap >= peak > cap // 2
+    assert list(map(repr, got)) == list(map(repr, want))
+    # an outer shape with more removals than the cap is used but not kept
+    skew = make_skew(make_partition([4, 2]), make_partition([]))
+    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", 3)
+    report = sign_recursion_check(skew, 1)
+    assert len(report.summands) == 6 and strips_module._removals == {}
+    assert repr(report) == repr(want[cases.index((skew, 1))])
+
+
+def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
+    # lam has 10**12 removals of 1-strips, but nu leaves room for one
+    _empty_removal_table(monkeypatch)
+    big = 10**12
+    lam = make_partition([big])
+    report = sign_recursion_check(make_skew(lam, make_partition([big - 1])), 1)
+    assert report.summands == ((make_partition([big - 1]), 1, 1, 1),)
+    assert strips_module._removal_count == 2
+    # a larger m extends the same outer shape's removals
+    report = sign_recursion_check(make_skew(lam, make_partition([big - 3])), 1)
+    assert [s.strip_length for s in report.summands] == [1, 2, 3]
+    assert strips_module._removal_count == 4
