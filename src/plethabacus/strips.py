@@ -277,12 +277,22 @@ def _runner_type(src: list[int], dst: list[int]) -> tuple[RunnerType, range]:
     return RunnerType.III, range(0)
 
 
-def _typed_runners(a: Abacus, c: Abacus, r: int):
-    """(t, src, dst, type, stuck run) per runner holding a bead, in ascending t."""
+def _typed_runners(a: Abacus, c: Abacus, r: int, lenient: bool = False):
+    """(t, src, dst, type, stuck run) per runner holding a bead, in ascending t.
+
+    A runner whose two bead counts differ raises IncompatibleAbaci, or,
+    when lenient, comes as (t, None, None, None, range(0)).
+    """
     buckets = _runner_buckets(a, c, r)
     for t in sorted(buckets[0].keys() | buckets[1].keys()):
-        src, dst = _runner_pair(buckets, t)
-        yield (t, src, dst, *_runner_type(src, dst))
+        try:
+            src, dst = _runner_pair(buckets, t)
+        except IncompatibleAbaci:
+            if not lenient:
+                raise
+            yield t, None, None, None, range(0)
+        else:
+            yield (t, src, dst, *_runner_type(src, dst))
 
 
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
@@ -301,14 +311,7 @@ def runner_types(a: Abacus, c: Abacus, r: int) -> dict[int, RunnerType | None]:
     type I.
     """
     r = _integer("r", r, 1)
-    buckets = _runner_buckets(a, c, r)
-    types: dict[int, RunnerType | None] = {}
-    for t in sorted(buckets[0].keys() | buckets[1].keys()):
-        try:
-            types[t] = _runner_type(*_runner_pair(buckets, t))[0]
-        except IncompatibleAbaci:
-            types[t] = None
-    return types
+    return {t: kind for t, _, _, kind, _ in _typed_runners(a, c, r, lenient=True)}
 
 
 def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
@@ -460,54 +463,91 @@ _TAIL_CAP = 1 << 15
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
 _tail_count = 0
 
-# The removal table: per (lam, r) that sign_recursion_check has met, the
-# largest m it was asked for, its size (one for lam and one per removal)
-# and the removals of _strip_removals up to that m. It holds at most
-# _REMOVAL_CAP in size and is cleared when full.
-_REMOVAL_CAP = 1 << 15
-_removals: dict[tuple[Partition, int], tuple[int, int, tuple]] = {}
+# The removal table: per (lam, r) that sign_recursion_check has met, a list
+# [weight, groups, order]. groups holds, per bead of lam in report order,
+# the removals (mu, q*r, strip sign) of that bead built so far, in
+# ascending q (a tuple once it holds them all), and order[k] is the index
+# of group k's bead in lam's descending bead list. The weight is a count
+# of bytes set high: _GROUP_BYTES * (b + 4) for an entry of b beads (its
+# lists, key and dict slot come to at most 4 groups' worth) and
+# _PART_BYTES * (len(mu) + 5) per removal, where a part is a slot and an
+# int object. The table weighs at most _REMOVAL_CAP in all; when a new
+# weight would pass it, every other (lam, r) is dropped, and an entry that
+# alone would pass it stops growing.
+_REMOVAL_CAP = 8 << 20
+_GROUP_BYTES = 104
+_PART_BYTES = 40
+_removals: dict[tuple[Partition, int], list] = {}
 _removal_count = 0
 
 
-def _strip_removals(lam: Partition, r: int, m: int) -> tuple[tuple[tuple, ...], ...]:
-    """(mu, q*r, strip sign) per removal of a q*r-strip from lam, for every q <= m at least.
-
-    One group per bead of lam's descending bead list at b = max(len(lam), 1)
-    beads, in report order (by runner, then by bead position descending),
-    each group in ascending q over the free targets beta - q*r >= 0, each
-    removal one _raise_bead move. Read from the removal table,
-    and extended there when m exceeds the largest m it was built for, so a
-    build costs the removals of q <= m only, however large lam is.
-    """
+def _hold(entry: list, key: tuple[Partition, int], weight: int) -> bool:
+    """Count weight more for the removal table's entry under key; False if it would pass the cap alone."""
     global _removal_count
-    q_done, held, groups = _removals.get((lam, r), (0, 0, None))
-    if q_done >= m:
-        return groups
-    b = max(len(lam), 1)
-    beads = _beads_of(lam, b)
-    occupied, packed = set(beads), _beads_of((), b)
-    grown = []
-    # a stable sort by runner keeps each runner's positions descending
-    for group, i in zip(groups or ((),) * b, sorted(range(b), key=lambda k: beads[k] % r)):
-        beta = beads[i]
-        more = []
-        for target in range(beta - (q_done + 1) * r, max(beta - m * r, 0) - 1, -r):
-            if target in occupied:
-                continue
-            # every descending list dominates the packed one, so this move succeeds
-            moved = beads.copy()
-            height = _raise_bead(moved, i, target, packed)
-            more.append((_partition_of_beads(moved), beta - target, -1 if height & 1 else 1))
-        grown.append(group + tuple(more))
-    groups = tuple(grown)
-    size = 1 + sum(map(len, groups))
-    if _removal_count - held + size > _REMOVAL_CAP:
+    if entry[0] + weight > _REMOVAL_CAP:
+        return False
+    if _removal_count + weight > _REMOVAL_CAP:
         _removals.clear()
-        _removal_count = held = 0
-    if size <= _REMOVAL_CAP:
-        _removals[lam, r] = (m, size, groups)
-        _removal_count += size - held
-    return groups
+        _removals[key] = entry
+        _removal_count = entry[0]
+    entry[0] += weight
+    _removal_count += weight
+    return True
+
+
+def _removal_entry(key: tuple[Partition, int], beads: list[int]) -> list:
+    """The removal table's entry for key = (lam, r), made with no removal if missing; beads is lam's bead list."""
+    r = key[1]
+    entry = _removals.get(key)
+    if entry is None:
+        b = len(beads)
+        # a stable sort by runner keeps each runner's positions descending
+        order = sorted(range(b), key=lambda k: beads[k] % r)
+        # a bead below r has no removal at all
+        entry = [0, [() if beads[i] < r else [] for i in order], order]
+        if _hold(entry, key, _GROUP_BYTES * (b + 4)):
+            _removals[key] = entry
+        else:
+            # too heavy to keep: this call alone uses it, and it never grows
+            entry[0] = _REMOVAL_CAP
+    return entry
+
+
+def _grow(
+    entry: list, key: tuple[Partition, int], k: int, after: int, m: int,
+    beads: list[int], occupied: set[int], inner: list[int],
+) -> list:
+    """The removals after strip length `after` in entry's group k, in ascending q <= m, up to the first that fails nu.
+
+    key is (lam, r), beads and occupied lam's bead list and set, and inner
+    nu's bead list. The removals are kept in the group when the group ends
+    at `after` and the table takes their weight; a group found to hold
+    every removal of its bead becomes a tuple. The failing removal is
+    neither built nor kept.
+    """
+    r = key[1]
+    group, i = entry[1][k], entry[2][k]
+    beta = beads[i]
+    built, weight = [], 0
+    # the next target to try; none is left once it is negative
+    nxt = beta - after - r
+    for target in range(nxt, max(beta - m * r, 0) - 1, -r):
+        if target in occupied:
+            nxt = target - r
+            continue
+        moved = beads.copy()
+        height = _raise_bead(moved, i, target, inner)
+        if height is None:
+            break
+        nxt = target - r
+        mu = _partition_of_beads(moved)
+        built.append((mu, beta - target, -1 if height & 1 else 1))
+        weight += _PART_BYTES * (len(mu) + 5)
+    if (group[-1][1] if group else 0) == after and _hold(entry, key, weight):
+        group += built
+        if nxt < 0:
+            entry[1][k] = tuple(group)
+    return built
 
 
 def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
@@ -520,23 +560,31 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     removal moves a bead beta to a free position beta - s >= 0, and its
     height is the number of beads passed.
 
-    The removals depend on lam and r alone, so they are read from the
-    removal table (_strip_removals), shared by every inner shape, and this
-    call keeps those whose mu contains nu. The pruning is: mu contains nu,
-    first failure ends the bead's group. Every longer strip of that bead
-    fails too: the bead then passes a superset of the same beads, each
-    shifted to the same index as before, and where the moved list fell
-    below nu's bead list at index j before, entry j now holds something
-    lower still (the next passed bead, which sat below the old free
-    target, or the lower new target). A strip longer than m*r leaves mu
-    smaller than nu, so no group needs removals past q = m.
+    The pruning is: mu contains nu, first failure ends the bead's group.
+    Every longer strip of that bead fails too: the bead then passes a
+    superset of the same beads, each shifted to the same index as before,
+    and where the moved list fell below nu's bead list at index j before,
+    entry j now holds something lower still (the next passed bead, which
+    sat below the old free target, or the lower new target). So the
+    removals that keep nu are a prefix of each bead's group, and a strip
+    longer than m*r, which leaves mu smaller than nu, is never reached.
+
+    The removals depend on lam and r alone, so they are kept in the
+    removal table and shared by every inner shape. A call walks each
+    group it holds; only when it walks past the last removal built with
+    no failure does it build the bead's next ones, one _raise_bead move
+    against nu's bead list each, up to the first that fails nu or to
+    q = m. So a call moves a bead only where the walk without a table
+    did, and the table holds only removals that were summands of some
+    call.
 
     A tail sign sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep
     meets most tails many times, so each is computed once and then read
     from the tail table; a mu found there contains nu. Both tables are
-    private, have no option, and are cleared when full: the tail table
-    at _TAIL_CAP signs, the removal table at _REMOVAL_CAP (one per outer
-    shape and one per removal). Neither changes a report.
+    private, have no option, and are bounded: the tail table holds at
+    most _TAIL_CAP signs and is cleared when full, and the removal table
+    weighs at most _REMOVAL_CAP bytes (see its comment). Neither changes a
+    report.
     """
     global _tail_count
     r = _integer("strip length", r, 1)
@@ -547,6 +595,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     lam, nu = skew.outer, skew.inner
     # lam contains nu, so b beads hold both
     b = max(len(lam), 1)
+    beads = _beads_of(lam, b)
     inner = _beads_of(nu, b)
     rows = len(nu)
     tails = _tails.get((nu, r))
@@ -554,19 +603,33 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         tails = _tails[nu, r] = {}
     summands = []
     new = tuple.__new__  # a RecursionSummand, with no Python-level call
+    key = (lam, r)
+    entry = _removal_entry(key, beads) if m else None
+    occupied = None
     # an empty skew (m = 0) has no summands
-    for group in _strip_removals(lam, r, m) if m else ():
-        for mu, length, sign in group:
-            tail = tails.get(mu)
-            if tail is None:
-                if len(mu) < rows or not all(map(ge, mu, nu)):
-                    break
-                if _tail_count >= _TAIL_CAP:
-                    _tails.clear()
-                    tails = _tails[nu, r] = {}
-                    _tail_count = 0
-                tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-                _tail_count += 1
-            summands.append(new(RecursionSummand, (mu, length, sign, tail)))
-    lhs = _chain_sign(_beads_of(lam, b), inner, r)
+    for k, group in enumerate(entry[1]) if m else ():
+        walked, length = group, 0
+        while True:
+            for mu, length, sign in walked:
+                tail = tails.get(mu)
+                if tail is None:
+                    if len(mu) < rows or not all(map(ge, mu, nu)):
+                        break
+                    if _tail_count >= _TAIL_CAP:
+                        _tails.clear()
+                        tails = _tails[nu, r] = {}
+                        _tail_count = 0
+                    tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
+                    _tail_count += 1
+                summands.append(new(RecursionSummand, (mu, length, sign, tail)))
+            else:
+                # every removal built so far keeps nu: build the bead's next
+                # ones once, as far as they keep nu, and walk them too
+                if walked is group and length < size and type(group) is list:
+                    if occupied is None:
+                        occupied = set(beads)
+                    walked = _grow(entry, key, k, length, m, beads, occupied, inner)
+                    continue
+            break
+    lhs = _chain_sign(beads, inner, r)
     return SignRecursionReport(skew, r, m, lhs, tuple(summands))

@@ -754,8 +754,17 @@ def _empty_removal_table(monkeypatch):
 
 
 def _removals_held():
-    # one for each outer shape and one for each removal it holds
-    return sum(1 + sum(map(len, groups)) for _, _, groups in strips_module._removals.values())
+    # each entry's weight, recounted from what it holds, is its own
+    # count, and the table's count is their sum
+    total = 0
+    for weight, groups, order in strips_module._removals.values():
+        assert len(groups) == len(order)
+        held = strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
+            strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
+        )
+        assert weight == held
+        total += held
+    return total
 
 
 def test_removal_table_leaves_reports_unchanged(monkeypatch):
@@ -789,7 +798,7 @@ def test_removal_table_never_exceeds_its_cap(monkeypatch):
     _empty_removal_table(monkeypatch)
     want = [sign_recursion_check(skew, r) for skew, r in cases]
     uncapped = strips_module._removal_count
-    cap = 40
+    cap = uncapped // 4
     monkeypatch.setattr(strips_module, "_REMOVAL_CAP", cap)
     _empty_removal_table(monkeypatch)
     got, peak = [], 0
@@ -798,14 +807,41 @@ def test_removal_table_never_exceeds_its_cap(monkeypatch):
         held = _removals_held()
         assert held == strips_module._removal_count <= cap, (skew, r)
         peak = max(peak, held)
-    assert uncapped > cap >= peak > cap // 2
+    assert cap >= peak > cap // 2
     assert list(map(repr, got)) == list(map(repr, want))
-    # an outer shape with more removals than the cap is used but not kept
-    skew = make_skew(make_partition([4, 2]), make_partition([]))
-    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", 3)
-    report = sign_recursion_check(skew, 1)
-    assert len(report.summands) == 6 and strips_module._removals == {}
-    assert repr(report) == repr(want[cases.index((skew, 1))])
+
+
+def test_an_outer_shape_heavier_than_the_cap_stops_growing(monkeypatch):
+    heavy = make_skew(make_partition([4, 2]), make_partition([]))
+    light = make_skew(make_partition([2]), make_partition([]))
+    _empty_removal_table(monkeypatch)
+    want = repr(sign_recursion_check(heavy, 1))
+    groups = strips_module._removals[heavy.outer, 1][1]
+    weights = [strips_module._PART_BYTES * (len(mu) + 5) for g in groups for mu, _, _ in g]
+    assert len(weights) == 6
+    # room for heavy's groups and three of its six removals: a bead's
+    # removals built in one call are kept together or not at all
+    cap = strips_module._removal_count - sum(weights[3:])
+    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", cap)
+    _empty_removal_table(monkeypatch)
+    sign_recursion_check(light, 1)
+    assert list(strips_module._removals) == [(light.outer, 1)]
+    # heavy needs the room, so the other outer shape is dropped
+    assert repr(sign_recursion_check(heavy, 1)) == want
+    assert list(strips_module._removals) == [(heavy.outer, 1)]
+    entry = strips_module._removals[heavy.outer, 1]
+    held = sum(map(len, entry[1]))
+    assert 0 < held < 6 and _removals_held() == entry[0] <= cap
+    # once full it keeps what it holds and builds the rest per call
+    for _ in range(3):
+        assert repr(sign_recursion_check(heavy, 1)) == want
+        assert strips_module._removals == {(heavy.outer, 1): entry}
+        assert sum(map(len, entry[1])) == held and _removals_held() == entry[0] <= cap
+    # an outer shape whose groups alone pass the cap is used and not kept,
+    # and leaves the table as it was
+    many = make_skew(make_partition([1] * 11), make_partition([1] * 10))
+    assert sign_recursion_check(many, 1).summands == ((make_partition([1] * 10), 1, 1, 1),)
+    assert strips_module._removals == {(heavy.outer, 1): entry}
 
 
 def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
@@ -815,8 +851,33 @@ def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
     lam = make_partition([big])
     report = sign_recursion_check(make_skew(lam, make_partition([big - 1])), 1)
     assert report.summands == ((make_partition([big - 1]), 1, 1, 1),)
-    assert strips_module._removal_count == 2
+    assert strips_module._removals[lam, 1][1] == [[(make_partition([big - 1]), 1, 1)]]
     # a larger m extends the same outer shape's removals
     report = sign_recursion_check(make_skew(lam, make_partition([big - 3])), 1)
     assert [s.strip_length for s in report.summands] == [1, 2, 3]
-    assert strips_module._removal_count == 4
+    assert [len(g) for g in strips_module._removals[lam, 1][1]] == [3]
+    # on a cold table a call keeps exactly the removals of its summands
+    for lam, nu, r in skews_up_to(8, 6, (1, 2, 3)):
+        _empty_removal_table(monkeypatch)
+        report = sign_recursion_check(make_skew(lam, nu), r)
+        # an empty skew (m = 0) makes no entry
+        groups = strips_module._removals.get((lam, r), (0, ()))[1]
+        held = [x for group in groups for x in group]
+        assert held == [s[:3] for s in report.summands], (lam, nu, r)
+
+
+def test_removal_table_weighs_a_many_row_shape_by_its_summands(monkeypatch):
+    # 1,000 rows with a bead every 3 places, and nu keeps all but the last
+    # 5 rows (m = 30 at r = 1): every upper bead's first removal already
+    # fails nu, so the table holds the groups and the summands, no more
+    lam = make_partition(range(2000, 0, -2))
+    nu = make_partition(lam[:-5])
+    _empty_removal_table(monkeypatch)
+    cold = sign_recursion_check(make_skew(lam, nu), 1)
+    assert cold.m == 30 and cold.lhs == cold.rhs
+    weight = strips_module._GROUP_BYTES * (1000 + 4) + sum(
+        strips_module._PART_BYTES * (len(s.mu) + 5) for s in cold.summands
+    )
+    assert _removals_held() == strips_module._removal_count == weight
+    assert repr(sign_recursion_check(make_skew(lam, nu), 1)) == repr(cold)
+    assert strips_module._removal_count == weight
