@@ -282,7 +282,7 @@ def partitions_of_size(n: int) -> Iterator[Partition]:
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
     """All partitions of every size from 0 through n."""
-    for k in range(n + 1):
+    for k in range(_integer("n", n, None) + 1):
         yield from partitions_of_size(k)
 
 
@@ -295,6 +295,7 @@ def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partitio
     as the row above and the boxes inner still needs below it allow. Every
     shape built is kept, so none is filtered out.
     """
+    n = _integer("n", n, None)
     if inner.size() > n:
         return
     least = [*inner, *[1] * (n - len(inner))]

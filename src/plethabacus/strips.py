@@ -456,78 +456,41 @@ class SignRecursionReport(_Record):
         return sum(s.value for s in self.summands)
 
 
-# The tail table: sgn_r(mu/nu) of every tail mu/nu that sign_recursion_check
-# has signed, one dict per (nu, r) keyed by mu. It holds at most _TAIL_CAP
-# signs in all and is cleared when full.
-_TAIL_CAP = 1 << 15
-_tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
-_tail_count = 0
-
-# The removal table: per (lam, r) that sign_recursion_check has met, a list
-# [weight, groups, order]. groups holds, per bead of lam in report order,
-# the removals (mu, q*r, strip sign) of that bead built so far, in
-# ascending q (a tuple once it holds them all), and order[k] is the index
-# of group k's bead in lam's descending bead list. The weight is a count
-# of bytes set high: _GROUP_BYTES * (b + 4) for an entry of b beads (its
-# lists, key and dict slot come to at most 4 groups' worth) and
-# _PART_BYTES * (len(mu) + 5) per removal, where a part is a slot and an
-# int object. The table weighs at most _REMOVAL_CAP in all; when a new
-# weight would pass it, every other (lam, r) is dropped, and an entry that
-# alone would pass it stops growing.
-_REMOVAL_CAP = 8 << 20
+# The memo: what sign_recursion_check has computed, in two tables under
+# one budget. _removals holds, per (lam, r), a pair (groups, order):
+# groups holds, per bead of lam in report order, the removals
+# (mu, q*r, strip sign) of that bead built so far, in ascending q (a tuple
+# once it holds them all), and order[k] is the index of group k's bead in
+# lam's descending bead list. _tails holds, per (nu, r), a dict from mu to
+# sgn_r(mu/nu) for every tail signed so far. _weight counts the bytes of
+# both tables, set high: _GROUP_BYTES * (b + 4) for a shape of b beads or
+# rows (its lists or dict, key and slot come to at most 4 groups' worth),
+# _PART_BYTES * (len(mu) + 5) per removal, a part being a slot and an int
+# object, and _SLOT_BYTES per tail, whose mu is a removal's. A call that
+# finds _weight past _CAP empties both tables first, so the memo holds at
+# most _CAP plus the last call's own shapes, removals and tails.
+_CAP = 8 << 20
 _GROUP_BYTES = 104
 _PART_BYTES = 40
-_removals: dict[tuple[Partition, int], list] = {}
-_removal_count = 0
-
-
-def _hold(entry: list, key: tuple[Partition, int], weight: int) -> bool:
-    """Count weight more for the removal table's entry under key; False if it would pass the cap alone."""
-    global _removal_count
-    if entry[0] + weight > _REMOVAL_CAP:
-        return False
-    if _removal_count + weight > _REMOVAL_CAP:
-        _removals.clear()
-        _removals[key] = entry
-        _removal_count = entry[0]
-    entry[0] += weight
-    _removal_count += weight
-    return True
-
-
-def _removal_entry(key: tuple[Partition, int], beads: list[int]) -> list:
-    """The removal table's entry for key = (lam, r), made with no removal if missing; beads is lam's bead list."""
-    r = key[1]
-    entry = _removals.get(key)
-    if entry is None:
-        b = len(beads)
-        # a stable sort by runner keeps each runner's positions descending
-        order = sorted(range(b), key=lambda k: beads[k] % r)
-        # a bead below r has no removal at all
-        entry = [0, [() if beads[i] < r else [] for i in order], order]
-        if _hold(entry, key, _GROUP_BYTES * (b + 4)):
-            _removals[key] = entry
-        else:
-            # too heavy to keep: this call alone uses it, and it never grows
-            entry[0] = _REMOVAL_CAP
-    return entry
+_SLOT_BYTES = 64
+_removals: dict[tuple[Partition, int], tuple[list, list[int]]] = {}
+_tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
+_weight = 0
 
 
 def _grow(
-    entry: list, key: tuple[Partition, int], k: int, after: int, m: int,
+    groups: list, k: int, i: int, after: int, m: int, r: int,
     beads: list[int], occupied: set[int], inner: list[int],
 ) -> list:
-    """The removals after strip length `after` in entry's group k, in ascending q <= m, up to the first that fails nu.
+    """Append to groups[k] its bead's removals after strip length `after`, in ascending q <= m, up to the first that fails nu, and return them.
 
-    key is (lam, r), beads and occupied lam's bead list and set, and inner
-    nu's bead list. The removals are kept in the group when the group ends
-    at `after` and the table takes their weight; a group found to hold
-    every removal of its bead becomes a tuple. The failing removal is
-    neither built nor kept.
+    i is the bead's index in lam's bead list beads, occupied that list's
+    set, and inner nu's bead list. The failing removal is neither built
+    nor kept, and a group found to hold every removal of its bead becomes
+    a tuple. The removals' weight is added to _weight.
     """
-    r = key[1]
-    group, i = entry[1][k], entry[2][k]
-    beta = beads[i]
+    global _weight
+    group, beta = groups[k], beads[i]
     built, weight = [], 0
     # the next target to try; none is left once it is negative
     nxt = beta - after - r
@@ -543,10 +506,10 @@ def _grow(
         mu = _partition_of_beads(moved)
         built.append((mu, beta - target, -1 if height & 1 else 1))
         weight += _PART_BYTES * (len(mu) + 5)
-    if (group[-1][1] if group else 0) == after and _hold(entry, key, weight):
-        group += built
-        if nxt < 0:
-            entry[1][k] = tuple(group)
+    group += built
+    if nxt < 0:
+        groups[k] = tuple(group)
+    _weight += weight
     return built
 
 
@@ -569,45 +532,55 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     removals that keep nu are a prefix of each bead's group, and a strip
     longer than m*r, which leaves mu smaller than nu, is never reached.
 
-    The removals depend on lam and r alone, so they are kept in the
-    removal table and shared by every inner shape. A call walks each
-    group it holds; only when it walks past the last removal built with
-    no failure does it build the bead's next ones, one _raise_bead move
-    against nu's bead list each, up to the first that fails nu or to
-    q = m. So a call moves a bead only where the walk without a table
-    did, and the table holds only removals that were summands of some
-    call.
-
-    A tail sign sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep
-    meets most tails many times, so each is computed once and then read
-    from the tail table; a mu found there contains nu. Both tables are
-    private, have no option, and are bounded: the tail table holds at
-    most _TAIL_CAP signs and is cleared when full, and the removal table
-    weighs at most _REMOVAL_CAP bytes (see its comment). Neither changes a
-    report.
+    What a call computes is kept in a private memo (see its comment) for
+    later calls. The removals depend on lam and r alone, so every inner
+    shape reads them from the same groups. A call walks each group it
+    holds; only when it walks past the last removal built with no failure
+    does it build the bead's next ones, one _raise_bead move against nu's
+    bead list each, up to the first that fails nu or to q = m. So a call
+    moves a bead only where the walk without a memo did, and the memo
+    holds only removals that were summands of some call. A tail sign
+    sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep meets most
+    tails many times, so each is computed once and then read from the
+    memo; a mu found there contains nu. The memo has one budget, _CAP
+    bytes counted high, and a call that finds it spent empties the memo
+    before it starts. It has no option and changes no report.
     """
-    global _tail_count
+    global _weight
     r = _integer("strip length", r, 1)
     size = skew.size()
     m, rest = divmod(size, r)
     if rest:
         raise NotDivisible(f"size {size} not divisible by {r}")
+    if _weight > _CAP:
+        _removals.clear()
+        _tails.clear()
+        _weight = 0
     lam, nu = skew.outer, skew.inner
     # lam contains nu, so b beads hold both
     b = max(len(lam), 1)
-    beads = _beads_of(lam, b)
-    inner = _beads_of(nu, b)
-    rows = len(nu)
+    beads, inner = _beads_of(lam, b), _beads_of(nu, b)
+    if not m:
+        # an empty skew has no summands
+        return SignRecursionReport(skew, r, 0, _chain_sign(beads, inner, r), ())
+    entry = _removals.get((lam, r))
+    if entry is None:
+        # a stable sort by runner keeps each runner's positions descending
+        order = sorted(range(b), key=lambda k: beads[k] % r)
+        # a bead below r has no removal at all
+        entry = _removals[lam, r] = ([() if beads[i] < r else [] for i in order], order)
+        _weight += _GROUP_BYTES * (b + 4)
+    groups, order = entry
     tails = _tails.get((nu, r))
     if tails is None:
         tails = _tails[nu, r] = {}
+        _weight += _GROUP_BYTES * (len(nu) + 4)
+    signed = len(tails)
+    rows = len(nu)
     summands = []
     new = tuple.__new__  # a RecursionSummand, with no Python-level call
-    key = (lam, r)
-    entry = _removal_entry(key, beads) if m else None
     occupied = None
-    # an empty skew (m = 0) has no summands
-    for k, group in enumerate(entry[1]) if m else ():
+    for k, group in enumerate(groups):
         walked, length = group, 0
         while True:
             for mu, length, sign in walked:
@@ -615,12 +588,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 if tail is None:
                     if len(mu) < rows or not all(map(ge, mu, nu)):
                         break
-                    if _tail_count >= _TAIL_CAP:
-                        _tails.clear()
-                        tails = _tails[nu, r] = {}
-                        _tail_count = 0
                     tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-                    _tail_count += 1
                 summands.append(new(RecursionSummand, (mu, length, sign, tail)))
             else:
                 # every removal built so far keeps nu: build the bead's next
@@ -628,8 +596,9 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 if walked is group and length < size and type(group) is list:
                     if occupied is None:
                         occupied = set(beads)
-                    walked = _grow(entry, key, k, length, m, beads, occupied, inner)
+                    walked = _grow(groups, k, order[k], length, m, r, beads, occupied, inner)
                     continue
             break
+    _weight += _SLOT_BYTES * (len(tails) - signed)
     lhs = _chain_sign(beads, inner, r)
     return SignRecursionReport(skew, r, m, lhs, tuple(summands))

@@ -170,6 +170,30 @@ def test_partitions_of_size_containing_matches_filter():
             assert all(type(p) is Partition for p in got)
 
 
+@pytest.mark.parametrize("n", [2.5, "3", None])
+def test_partition_enumerators_reject_a_size_that_is_not_an_integer(n):
+    for shapes in (
+        partitions_of_size(n),
+        partitions_up_to(n),
+        partitions_of_size_containing(n, make_partition([1])),
+    ):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            list(shapes)
+
+
+def test_partition_enumerators_yield_int_parts_for_a_bool_size():
+    # a bool is an int, so True sizes 1, but no yielded part is a bool
+    for got, want in (
+        (partitions_of_size(True), [(1,)]),
+        (partitions_up_to(True), [(), (1,)]),
+        (partitions_of_size_containing(True, make_partition([1])), [(1,)]),
+        (partitions_of_size_containing(False, make_partition([])), [()]),
+    ):
+        got = list(got)
+        assert got == want
+        assert all(type(part) is int for p in got for part in p), got
+
+
 def test_subpartitions_of_size_matches_filter():
     for outer in partitions_up_to(8):
         for k in range(outer.size() + 1):

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -707,83 +709,72 @@ def test_sign_recursion_walks_only_runners_holding_a_bead():
     assert (empty.m, empty.summands) == (0, ())
 
 
-def _empty_tail_table(monkeypatch):
+def _empty_memo(monkeypatch):
+    monkeypatch.setattr(strips_module, "_removals", {})
     monkeypatch.setattr(strips_module, "_tails", {})
-    monkeypatch.setattr(strips_module, "_tail_count", 0)
+    monkeypatch.setattr(strips_module, "_weight", 0)
+
+
+def _memo_weight():
+    # the weight of both tables, recounted from what they hold
+    total = 0
+    for groups, order in strips_module._removals.values():
+        assert len(groups) == len(order)
+        total += strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
+            strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
+        )
+    for (nu, _), tails in strips_module._tails.items():
+        total += strips_module._GROUP_BYTES * (len(nu) + 4) + strips_module._SLOT_BYTES * len(tails)
+    return total
+
+
+def _tails_are_removals():
+    # every tail's mu is the very object some removal holds (ids of live
+    # objects are distinct, so an id match is an `is` match)
+    held = {id(mu) for groups, _ in strips_module._removals.values()
+            for group in groups for mu, _, _ in group}
+    return all(id(mu) in held for tails in strips_module._tails.values() for mu in tails)
 
 
 def test_tail_table_leaves_reports_unchanged(monkeypatch):
-    # a sweep whose tails repeat across skews, run on an empty table, on
-    # the table it filled, and in reverse order on an empty table again
+    # a sweep whose tails repeat across skews, run on an empty memo, on
+    # the memo it filled, and in reverse order on an empty memo again
     cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
-    _empty_tail_table(monkeypatch)
+    _empty_memo(monkeypatch)
     cold = [sign_recursion_check(skew, r) for skew, r in cases]
-    held = sum(map(len, strips_module._tails.values()))
-    assert 0 < held == strips_module._tail_count
+    assert sum(map(len, strips_module._tails.values())) > 0
+    assert _tails_are_removals()
     full = [sign_recursion_check(skew, r) for skew, r in cases]
-    _empty_tail_table(monkeypatch)
+    _empty_memo(monkeypatch)
     backwards = [sign_recursion_check(skew, r) for skew, r in reversed(cases)][::-1]
+    assert _tails_are_removals()
     assert full == cold and backwards == cold
     assert list(map(repr, full)) == list(map(repr, cold)) == list(map(repr, backwards))
-    # every tail sign the table served is the sign of its own skew
+    # every tail sign the memo served is the sign of its own skew
     for (skew, r), report in zip(cases, full):
         for s in report.summands:
             assert s.tail_sign == sgn_r(make_skew(s.mu, skew.inner), r), (skew, r, s.mu)
 
 
-def test_tail_table_never_exceeds_its_cap(monkeypatch):
-    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
-    _empty_tail_table(monkeypatch)
-    want = [sign_recursion_check(skew, r) for skew, r in cases]
-    uncapped = strips_module._tail_count
-    monkeypatch.setattr(strips_module, "_TAIL_CAP", 5)
-    _empty_tail_table(monkeypatch)
-    got, peak = [], 0
-    for skew, r in cases:
-        got.append(sign_recursion_check(skew, r))
-        held = sum(map(len, strips_module._tails.values()))
-        assert held == strips_module._tail_count <= 5, (skew, r)
-        peak = max(peak, held)
-    assert uncapped > 5 and peak == 5
-    assert got == want and list(map(repr, got)) == list(map(repr, want))
-
-
-def _empty_removal_table(monkeypatch):
-    monkeypatch.setattr(strips_module, "_removals", {})
-    monkeypatch.setattr(strips_module, "_removal_count", 0)
-
-
-def _removals_held():
-    # each entry's weight, recounted from what it holds, is its own
-    # count, and the table's count is their sum
-    total = 0
-    for weight, groups, order in strips_module._removals.values():
-        assert len(groups) == len(order)
-        held = strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
-            strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
-        )
-        assert weight == held
-        total += held
-    return total
-
-
 def test_removal_table_leaves_reports_unchanged(monkeypatch):
-    # each (lam, r) meets several inner shapes; run on an empty table, on the
-    # table it filled, in reverse order, in ascending m (so each outer
-    # shape's removals are extended), and on a table emptied before each call
+    # each (lam, r) meets several inner shapes; run on an empty memo, on the
+    # memo it filled, in reverse order, in ascending m (so each outer
+    # shape's removals are extended), and on a memo emptied before each call
     cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
-    _empty_removal_table(monkeypatch)
+    _empty_memo(monkeypatch)
     cold = [sign_recursion_check(skew, r) for skew, r in cases]
-    assert 0 < _removals_held() == strips_module._removal_count
+    assert 0 < _memo_weight() == strips_module._weight
     warm = [sign_recursion_check(skew, r) for skew, r in cases]
-    _empty_removal_table(monkeypatch)
+    assert _memo_weight() == strips_module._weight
+    _empty_memo(monkeypatch)
     backwards = [sign_recursion_check(skew, r) for skew, r in reversed(cases)][::-1]
-    _empty_removal_table(monkeypatch)
+    _empty_memo(monkeypatch)
     by_m = sorted(range(len(cases)), key=lambda k: cases[k][0].size() // cases[k][1])
     growing = dict(zip(by_m, [sign_recursion_check(*cases[k]) for k in by_m]))
+    assert _memo_weight() == strips_module._weight
     alone = []
     for skew, r in cases:
-        _empty_removal_table(monkeypatch)
+        _empty_memo(monkeypatch)
         alone.append(sign_recursion_check(skew, r))
     want = list(map(repr, cold))
     for got in (warm, backwards, [growing[k] for k in range(len(cases))], alone):
@@ -793,75 +784,89 @@ def test_removal_table_leaves_reports_unchanged(monkeypatch):
             assert type(s.mu) is Partition and make_partition(s.mu) == s.mu, (report, s)
 
 
-def test_removal_table_never_exceeds_its_cap(monkeypatch):
+def _own_weight(report):
+    # the most one call adds: its outer shape's groups, its inner shape's
+    # dict, and a removal and a tail per summand
+    lam, nu = report.skew.outer, report.skew.inner
+    return (
+        strips_module._GROUP_BYTES * (max(len(lam), 1) + 4 + len(nu) + 4)
+        + sum(strips_module._PART_BYTES * (len(s.mu) + 5) for s in report.summands)
+        + strips_module._SLOT_BYTES * len(report.summands)
+    )
+
+
+def test_memo_is_within_its_cap_at_every_call_entry(monkeypatch):
     cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
-    _empty_removal_table(monkeypatch)
+    _empty_memo(monkeypatch)
     want = [sign_recursion_check(skew, r) for skew, r in cases]
-    uncapped = strips_module._removal_count
-    cap = uncapped // 4
-    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", cap)
-    _empty_removal_table(monkeypatch)
-    got, peak = [], 0
+    cap = strips_module._weight // 4
+    monkeypatch.setattr(strips_module, "_CAP", cap)
+    _empty_memo(monkeypatch)
+    got, clears = [], 0
     for skew, r in cases:
-        got.append(sign_recursion_check(skew, r))
-        held = _removals_held()
-        assert held == strips_module._removal_count <= cap, (skew, r)
-        peak = max(peak, held)
-    assert cap >= peak > cap // 2
+        before = strips_module._weight
+        report = sign_recursion_check(skew, r)
+        got.append(report)
+        assert _memo_weight() == strips_module._weight, (skew, r)
+        if before > cap:
+            # the call emptied the memo first, so it holds this call's entries alone
+            clears += 1
+            before = 0
+            assert set(strips_module._removals) <= {(skew.outer, r)}, (skew, r)
+            assert set(strips_module._tails) <= {(skew.inner, r)}, (skew, r)
+        assert strips_module._weight <= before + _own_weight(report), (skew, r)
+        assert _tails_are_removals(), (skew, r)
+    assert clears >= 3
     assert list(map(repr, got)) == list(map(repr, want))
 
 
-def test_an_outer_shape_heavier_than_the_cap_stops_growing(monkeypatch):
+def test_an_outer_shape_heavier_than_the_cap_is_kept_for_one_call(monkeypatch):
     heavy = make_skew(make_partition([4, 2]), make_partition([]))
-    light = make_skew(make_partition([2]), make_partition([]))
-    _empty_removal_table(monkeypatch)
+    light = make_skew(make_partition([2]), make_partition([1]))
+    _empty_memo(monkeypatch)
     want = repr(sign_recursion_check(heavy, 1))
-    groups = strips_module._removals[heavy.outer, 1][1]
-    weights = [strips_module._PART_BYTES * (len(mu) + 5) for g in groups for mu, _, _ in g]
-    assert len(weights) == 6
-    # room for heavy's groups and three of its six removals: a bead's
-    # removals built in one call are kept together or not at all
-    cap = strips_module._removal_count - sum(weights[3:])
-    monkeypatch.setattr(strips_module, "_REMOVAL_CAP", cap)
-    _empty_removal_table(monkeypatch)
+    heavy_weight = strips_module._weight
+    assert sum(map(len, strips_module._removals[heavy.outer, 1][0])) == 6
+    _empty_memo(monkeypatch)
     sign_recursion_check(light, 1)
-    assert list(strips_module._removals) == [(light.outer, 1)]
-    # heavy needs the room, so the other outer shape is dropped
+    # light fills the memo to the cap, which heavy alone passes
+    cap = strips_module._weight
+    assert cap < heavy_weight
+    monkeypatch.setattr(strips_module, "_CAP", cap)
+    # at the cap, not past it: the memo is kept and heavy joins it
     assert repr(sign_recursion_check(heavy, 1)) == want
-    assert list(strips_module._removals) == [(heavy.outer, 1)]
-    entry = strips_module._removals[heavy.outer, 1]
-    held = sum(map(len, entry[1]))
-    assert 0 < held < 6 and _removals_held() == entry[0] <= cap
-    # once full it keeps what it holds and builds the rest per call
+    assert list(strips_module._removals) == [(light.outer, 1), (heavy.outer, 1)]
+    assert _memo_weight() == strips_module._weight == cap + heavy_weight
+    # past the cap, each call empties the memo and builds its own entries
     for _ in range(3):
         assert repr(sign_recursion_check(heavy, 1)) == want
-        assert strips_module._removals == {(heavy.outer, 1): entry}
-        assert sum(map(len, entry[1])) == held and _removals_held() == entry[0] <= cap
-    # an outer shape whose groups alone pass the cap is used and not kept,
-    # and leaves the table as it was
+        assert list(strips_module._removals) == [(heavy.outer, 1)]
+        assert _memo_weight() == strips_module._weight == heavy_weight
+    # an outer shape whose groups alone pass the cap is kept for its call
     many = make_skew(make_partition([1] * 11), make_partition([1] * 10))
     assert sign_recursion_check(many, 1).summands == ((make_partition([1] * 10), 1, 1, 1),)
-    assert strips_module._removals == {(heavy.outer, 1): entry}
+    assert list(strips_module._removals) == [(many.outer, 1)]
+    assert _memo_weight() == strips_module._weight > cap
 
 
 def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
     # lam has 10**12 removals of 1-strips, but nu leaves room for one
-    _empty_removal_table(monkeypatch)
+    _empty_memo(monkeypatch)
     big = 10**12
     lam = make_partition([big])
     report = sign_recursion_check(make_skew(lam, make_partition([big - 1])), 1)
     assert report.summands == ((make_partition([big - 1]), 1, 1, 1),)
-    assert strips_module._removals[lam, 1][1] == [[(make_partition([big - 1]), 1, 1)]]
+    assert strips_module._removals[lam, 1][0] == [[(make_partition([big - 1]), 1, 1)]]
     # a larger m extends the same outer shape's removals
     report = sign_recursion_check(make_skew(lam, make_partition([big - 3])), 1)
     assert [s.strip_length for s in report.summands] == [1, 2, 3]
-    assert [len(g) for g in strips_module._removals[lam, 1][1]] == [3]
-    # on a cold table a call keeps exactly the removals of its summands
+    assert [len(g) for g in strips_module._removals[lam, 1][0]] == [3]
+    # on a cold memo a call keeps exactly the removals of its summands
     for lam, nu, r in skews_up_to(8, 6, (1, 2, 3)):
-        _empty_removal_table(monkeypatch)
+        _empty_memo(monkeypatch)
         report = sign_recursion_check(make_skew(lam, nu), r)
         # an empty skew (m = 0) makes no entry
-        groups = strips_module._removals.get((lam, r), (0, ()))[1]
+        groups = strips_module._removals.get((lam, r), ((),))[0]
         held = [x for group in groups for x in group]
         assert held == [s[:3] for s in report.summands], (lam, nu, r)
 
@@ -869,15 +874,40 @@ def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
 def test_removal_table_weighs_a_many_row_shape_by_its_summands(monkeypatch):
     # 1,000 rows with a bead every 3 places, and nu keeps all but the last
     # 5 rows (m = 30 at r = 1): every upper bead's first removal already
-    # fails nu, so the table holds the groups and the summands, no more
+    # fails nu, so the memo holds lam's groups, nu's dict and the
+    # summands, no more
     lam = make_partition(range(2000, 0, -2))
     nu = make_partition(lam[:-5])
-    _empty_removal_table(monkeypatch)
+    _empty_memo(monkeypatch)
     cold = sign_recursion_check(make_skew(lam, nu), 1)
     assert cold.m == 30 and cold.lhs == cold.rhs
-    weight = strips_module._GROUP_BYTES * (1000 + 4) + sum(
-        strips_module._PART_BYTES * (len(s.mu) + 5) for s in cold.summands
-    )
-    assert _removals_held() == strips_module._removal_count == weight
+    assert len({s.mu for s in cold.summands}) == len(cold.summands)
+    assert _memo_weight() == strips_module._weight == _own_weight(cold)
     assert repr(sign_recursion_check(make_skew(lam, nu), 1)) == repr(cold)
-    assert strips_module._removal_count == weight
+    assert strips_module._weight == _own_weight(cold)
+
+
+def test_memo_stays_near_its_cap_on_many_row_skews(monkeypatch):
+    # 40 outer shapes of 300 rows with a bead every 3 places, each nu its
+    # lam without the last 5 rows (m = 30 at r = 1), so every tail is a
+    # 295-row shape; the memo's real size stays near its small cap
+    cap = 1 << 20
+    monkeypatch.setattr(strips_module, "_CAP", cap)
+    _empty_memo(monkeypatch)
+    tracemalloc.start()
+    try:
+        for j in range(40):
+            lam = make_partition([600 + 2 * j, *range(598, 0, -2)])
+            report = sign_recursion_check(make_skew(lam, make_partition(lam[:-5])), 1)
+            assert report.m == 30 and report.lhs == report.rhs, j
+            assert _tails_are_removals(), j
+        del lam, report
+        gc.collect()
+        full = tracemalloc.get_traced_memory()[0]
+        strips_module._removals.clear()
+        strips_module._tails.clear()
+        gc.collect()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= 2 * cap
