@@ -715,17 +715,32 @@ def _empty_memo(monkeypatch):
     monkeypatch.setattr(strips_module, "_weight", 0)
 
 
+def _removal_weight(skip=None):
+    # the removal table's weight, recounted from what it holds, without
+    # the entry keyed skip
+    total = 0
+    for key, (groups, order) in strips_module._removals.items():
+        assert len(groups) == len(order)
+        if key != skip:
+            total += strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
+                strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
+            )
+    return total
+
+
+def _tail_weight(skip=None):
+    # the tail table's weight, recounted from what it holds, without the
+    # entry keyed skip
+    return sum(
+        strips_module._GROUP_BYTES * (len(nu) + 4) + strips_module._SLOT_BYTES * len(tails)
+        for (nu, r), tails in strips_module._tails.items()
+        if (nu, r) != skip
+    )
+
+
 def _memo_weight():
     # the weight of both tables, recounted from what they hold
-    total = 0
-    for groups, order in strips_module._removals.values():
-        assert len(groups) == len(order)
-        total += strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
-            strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
-        )
-    for (nu, _), tails in strips_module._tails.items():
-        total += strips_module._GROUP_BYTES * (len(nu) + 4) + strips_module._SLOT_BYTES * len(tails)
-    return total
+    return _removal_weight() + _tail_weight()
 
 
 def _tails_are_removals():
@@ -818,6 +833,47 @@ def test_memo_is_within_its_cap_at_every_call_entry(monkeypatch):
         assert _tails_are_removals(), (skew, r)
     assert clears >= 3
     assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_removal_table_never_exceeds_its_cap(monkeypatch):
+    # a call touches only its own (lam, r) entry, after emptying the memo
+    # if it found it past the cap, so the removals held for other outer
+    # shapes never weigh more than the cap
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
+    _empty_memo(monkeypatch)
+    want = [sign_recursion_check(skew, r) for skew, r in cases]
+    uncapped = _removal_weight()
+    cap = uncapped // 4
+    monkeypatch.setattr(strips_module, "_CAP", cap)
+    _empty_memo(monkeypatch)
+    got, peak = [], 0
+    for skew, r in cases:
+        got.append(sign_recursion_check(skew, r))
+        assert _removal_weight(skip=(skew.outer, r)) <= cap, (skew, r)
+        peak = max(peak, _removal_weight())
+    assert uncapped > peak > cap // 2
+    assert got == want and list(map(repr, got)) == list(map(repr, want))
+
+
+def test_tail_table_never_exceeds_its_cap(monkeypatch):
+    # a call touches only its own (nu, r) tails, after emptying the memo if
+    # it found it past the cap, so the tails held for other inner shapes
+    # never weigh more than the cap
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(7, 6, (1, 2))]
+    _empty_memo(monkeypatch)
+    want = [sign_recursion_check(skew, r) for skew, r in cases]
+    uncapped = _tail_weight()
+    cap = uncapped // 4
+    monkeypatch.setattr(strips_module, "_CAP", cap)
+    _empty_memo(monkeypatch)
+    got, peak = [], 0
+    for skew, r in cases:
+        got.append(sign_recursion_check(skew, r))
+        assert _tail_weight(skip=(skew.inner, r)) <= cap, (skew, r)
+        assert _tails_are_removals(), (skew, r)
+        peak = max(peak, _tail_weight())
+    assert uncapped > peak > 0
+    assert got == want and list(map(repr, got)) == list(map(repr, want))
 
 
 def test_an_outer_shape_heavier_than_the_cap_is_kept_for_one_call(monkeypatch):
