@@ -123,14 +123,20 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _runner_kinds(lam: Partition, nu: Partition, r: int) -> list[str]:
-    """Per runner t of r, `type I`/`II`/`III` or `bead counts differ`."""
+def _runner_kinds(lam: Partition, nu: Partition, r: int) -> tuple[list[tuple[int, str]], int]:
+    """The kind of each runner holding a bead, and the count of runners holding none.
+
+    Kinds are pairs (t, `type I`/`II`/`III` or `bead counts differ`) in
+    ascending t. A runner with no bead is type I and is only counted, so
+    the report is sized by the beads, not by r.
+    """
     b = max(len(lam), len(nu), 1)
     # both abaci hold b beads, so only a runner's own counts can differ
-    kinds = ["type I"] * r  # a runner with no bead
-    for t, kind in runner_types(abacus_of(lam, b), abacus_of(nu, b), r).items():
-        kinds[t] = "bead counts differ" if kind is None else f"type {kind.value}"
-    return kinds
+    kinds = [
+        (t, "bead counts differ" if kind is None else f"type {kind.value}")
+        for t, kind in runner_types(abacus_of(lam, b), abacus_of(nu, b), r).items()
+    ]
+    return kinds, r - len(kinds)
 
 
 def cmd_sgn(args) -> int:
@@ -139,6 +145,7 @@ def cmd_sgn(args) -> int:
     dec = r_decompose(skew, r)
     sign = 0 if dec is None else dec.sign
     if args.format == "json":
+        kinds, empty = _runner_kinds(lam, nu, r)
         print(
             json.dumps(
                 {
@@ -147,7 +154,8 @@ def cmd_sgn(args) -> int:
                     "r": r,
                     "sign": sign,
                     "decomposition": None if dec is None else dec.to_json(),
-                    "runners": _runner_kinds(lam, nu, r),
+                    "runners": kinds,
+                    "empty_runners": empty,
                 }
             )
         )
@@ -155,8 +163,10 @@ def cmd_sgn(args) -> int:
     rendered = f"{sign:+d}" if sign else "0"
     print(f"sgn_{r}({_format_partition(lam)}/{_format_partition(nu)}) = {rendered}")
     if dec is None:
-        for t, kind in enumerate(_runner_kinds(lam, nu, r)):
+        kinds, empty = _runner_kinds(lam, nu, r)
+        for t, kind in kinds:
             print(f"runner {t}: {kind}")
+        print(f"runners with no bead: {empty} (type I)")
         return 0
     print("heights: " + ",".join(str(h) for h in dec.heights))
     if args.command == "decompose":

@@ -132,12 +132,18 @@ class SkewPartition(_SkewFields):
     """A pair outer/inner with inner contained in outer.
 
     A SkewPartition is the tuple (outer, inner). Every constructor,
-    _make and _replace included, checks the containment.
+    _make and _replace included, checks that both are Partitions and
+    that inner is contained in outer.
     """
 
     __slots__ = ()
 
     def __new__(cls, outer: Partition, inner: Partition) -> "SkewPartition":
+        if not (isinstance(outer, Partition) and isinstance(inner, Partition)):
+            name, shape = ("inner", inner) if isinstance(outer, Partition) else ("outer", outer)
+            raise InvalidPartition(
+                f"{name} must be a Partition, got {shape!r}; build it with make_partition"
+            )
         # Partition.contains, inline: a sweep builds a skew per case
         if len(outer) < len(inner) or not all(map(ge, outer, inner)):
             raise NotContained(f"{inner} is not contained in {outer}")
@@ -161,7 +167,7 @@ class SkewPartition(_SkewFields):
 
 
 def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
-    """Build a skew shape; raises NotContained unless inner fits in outer."""
+    """Build a skew shape of two Partitions; raises NotContained unless inner fits in outer."""
     return SkewPartition(outer, inner)
 
 

@@ -456,19 +456,18 @@ class SignRecursionReport(_Record):
         return sum(s.value for s in self.summands)
 
 
-# The memo: what sign_recursion_check has computed, in two tables under
-# one budget. _removals holds, per (lam, r), a pair (groups, order):
-# groups holds, per bead of lam in report order, the removals
-# (mu, q*r, strip sign) of that bead built so far, in ascending q (a tuple
-# once it holds them all), and order[k] is the index of group k's bead in
-# lam's descending bead list. _tails holds, per (nu, r), a dict from mu to
-# sgn_r(mu/nu) for every tail signed so far. _weight counts the bytes of
-# both tables, set high: _GROUP_BYTES * (b + 4) for a shape of b beads or
-# rows (its lists or dict, key and slot come to at most 4 groups' worth),
-# _PART_BYTES * (len(mu) + 5) per removal, a part being a slot and an int
-# object, and _SLOT_BYTES per tail, whose mu is a removal's. A call that
-# finds _weight past _CAP empties both tables first, so the memo holds at
-# most _CAP plus the last call's own shapes, removals and tails.
+# The memo of sign_recursion_check: two tables under one budget.
+# _removals[(lam, r)] = (groups, order), where groups[k], in report order,
+# holds the removals (mu, q*r, strip sign) built so far of the bead at
+# index order[k] of lam's descending bead list, in ascending q, and is a
+# tuple once it holds them all. _tails[(nu, r)] maps every mu signed so far
+# to sgn_r(mu/nu). _weight counts the bytes of both tables, set high:
+# _GROUP_BYTES * (b + 4) for a shape of b beads or rows (its lists or dict,
+# key and slot come to at most 4 groups' worth), _PART_BYTES * (len(mu) + 5)
+# per removal, a part being a slot and an int object, and _SLOT_BYTES per
+# tail, whose mu is a removal's. A call that finds _weight past _CAP empties
+# both tables first, so the memo holds at most _CAP plus the last call's
+# own shapes, removals and tails.
 _CAP = 8 << 20
 _GROUP_BYTES = 104
 _PART_BYTES = 40
@@ -476,41 +475,6 @@ _SLOT_BYTES = 64
 _removals: dict[tuple[Partition, int], tuple[list, list[int]]] = {}
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
 _weight = 0
-
-
-def _grow(
-    groups: list, k: int, i: int, after: int, m: int, r: int,
-    beads: list[int], occupied: set[int], inner: list[int],
-) -> list:
-    """Append to groups[k] its bead's removals after strip length `after`, in ascending q <= m, up to the first that fails nu, and return them.
-
-    i is the bead's index in lam's bead list beads, occupied that list's
-    set, and inner nu's bead list. The failing removal is neither built
-    nor kept, and a group found to hold every removal of its bead becomes
-    a tuple. The removals' weight is added to _weight.
-    """
-    global _weight
-    group, beta = groups[k], beads[i]
-    built, weight = [], 0
-    # the next target to try; none is left once it is negative
-    nxt = beta - after - r
-    for target in range(nxt, max(beta - m * r, 0) - 1, -r):
-        if target in occupied:
-            nxt = target - r
-            continue
-        moved = beads.copy()
-        height = _raise_bead(moved, i, target, inner)
-        if height is None:
-            break
-        nxt = target - r
-        mu = _partition_of_beads(moved)
-        built.append((mu, beta - target, -1 if height & 1 else 1))
-        weight += _PART_BYTES * (len(mu) + 5)
-    group += built
-    if nxt < 0:
-        groups[k] = tuple(group)
-    _weight += weight
-    return built
 
 
 def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
@@ -532,19 +496,17 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     removals that keep nu are a prefix of each bead's group, and a strip
     longer than m*r, which leaves mu smaller than nu, is never reached.
 
-    What a call computes is kept in a private memo (see its comment) for
-    later calls. The removals depend on lam and r alone, so every inner
-    shape reads them from the same groups. A call walks each group it
-    holds; only when it walks past the last removal built with no failure
-    does it build the bead's next ones, one _raise_bead move against nu's
-    bead list each, up to the first that fails nu or to q = m. So a call
-    moves a bead only where the walk without a memo did, and the memo
-    holds only removals that were summands of some call. A tail sign
-    sgn_r(mu/nu) depends only on (mu, nu, r), and a sweep meets most
-    tails many times, so each is computed once and then read from the
-    memo; a mu found there contains nu. The memo has one budget, _CAP
-    bytes counted high, and a call that finds it spent empties the memo
-    before it starts. It has no option and changes no report.
+    The removals depend on lam and r alone, so the memo (see its comment)
+    keeps them per outer shape and every inner shape walks the same
+    groups. Only a walk that passes every stored removal of an unfinished
+    group builds more: one _raise_bead move against nu's bead list per
+    free target, resuming after the last stored strip, up to the first that
+    fails nu or to q = m. So a call moves a bead only where a walk without
+    the memo would, and the memo holds only removals that were summands of
+    some call. A sweep meets most tails many times, so each tail sign
+    sgn_r(mu/nu) is computed once (a new mu's on its moved bead list) and
+    then read from the memo; a mu found there contains nu. The memo has no
+    option and changes no report.
     """
     global _weight
     r = _integer("strip length", r, 1)
@@ -581,24 +543,42 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     new = tuple.__new__  # a RecursionSummand, with no Python-level call
     occupied = None
     for k, group in enumerate(groups):
-        walked, length = group, 0
-        while True:
-            for mu, length, sign in walked:
+        length = 0
+        for mu, length, sign in group:
+            tail = tails.get(mu)
+            if tail is None:
+                if len(mu) < rows or not all(map(ge, mu, nu)):
+                    break
+                tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
+            summands.append(new(RecursionSummand, (mu, length, sign, tail)))
+        else:
+            if type(group) is tuple:
+                continue
+            # every removal built so far keeps nu: build the bead's next
+            # ones, after the last, up to the first that fails nu or to q = m
+            if occupied is None:
+                occupied = set(beads)
+            i = order[k]
+            beta = beads[i]
+            for target in range(beta - length - r, max(beta - size, 0) - 1, -r):
+                if target in occupied:
+                    continue
+                moved = beads.copy()
+                height = _raise_bead(moved, i, target, inner)
+                if height is None:
+                    break
+                mu = _partition_of_beads(moved)
+                sign = -1 if height & 1 else 1
+                group.append((mu, beta - target, sign))
+                _weight += _PART_BYTES * (len(mu) + 5)
                 tail = tails.get(mu)
                 if tail is None:
-                    if len(mu) < rows or not all(map(ge, mu, nu)):
-                        break
-                    tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-                summands.append(new(RecursionSummand, (mu, length, sign, tail)))
+                    tail = tails[mu] = _chain_sign(moved, inner, r)
+                summands.append(new(RecursionSummand, (mu, beta - target, sign, tail)))
             else:
-                # every removal built so far keeps nu: build the bead's next
-                # ones once, as far as they keep nu, and walk them too
-                if walked is group and length < size and type(group) is list:
-                    if occupied is None:
-                        occupied = set(beads)
-                    walked = _grow(groups, k, order[k], length, m, r, beads, occupied, inner)
-                    continue
-            break
+                # no target >= 0 is left untried
+                if beta < size + r:
+                    groups[k] = tuple(group)
     _weight += _SLOT_BYTES * (len(tails) - signed)
     lhs = _chain_sign(beads, inner, r)
     return SignRecursionReport(skew, r, m, lhs, tuple(summands))

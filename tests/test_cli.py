@@ -82,6 +82,7 @@ def test_sgn_zero_reports_runner_types(capsys):
         "sgn_2((10,10,8,5,5,5,1)/(4,4,4,2,2)) = 0",
         "runner 0: type II",
         "runner 1: type I",
+        "runners with no bead: 0 (type I)",
     ]
 
 
@@ -100,6 +101,7 @@ def test_sgn_runner_report_when_bead_counts_differ(capsys):
         "sgn_2((1)/()) = 0",
         "runner 0: bead counts differ",
         "runner 1: bead counts differ",
+        "runners with no bead: 0 (type I)",
     ]
 
 
@@ -111,19 +113,35 @@ def test_sgn_reports_runners_that_hold_no_bead(capsys):
         "sgn_7((3,1)/()) = 0\n"
         "runner 0: bead counts differ\n"
         "runner 1: type I\n"
-        "runner 2: type I\n"
-        "runner 3: type I\n"
         "runner 4: bead counts differ\n"
-        "runner 5: type I\n"
-        "runner 6: type I\n"
+        "runners with no bead: 4 (type I)\n"
     )
     code, out, _ = run_cli(capsys, ["sgn", "--lambda", "3,1", "--r", "7", "--format", "json"])
     assert code == 0
     assert out == (
         '{"lambda": [3, 1], "nu": [], "r": 7, "sign": 0, "decomposition": null,'
-        ' "runners": ["bead counts differ", "type I", "type I", "type I",'
-        ' "bead counts differ", "type I", "type I"]}\n'
+        ' "runners": [[0, "bead counts differ"], [1, "type I"], [4, "bead counts differ"]],'
+        ' "empty_runners": 4}\n'
     )
+
+
+def test_sgn_runner_report_is_sized_by_the_beads_not_by_r(capsys):
+    # of r = 10**30 runners only two hold a bead: (1) on one bead has it at
+    # 1, () at 0; a report with a line or an entry per runner never ends
+    r = 10**30
+    code, out, _ = run_cli(capsys, ["sgn", "--lambda", "1", "--r", str(r)])
+    assert code == 0
+    assert out.splitlines() == [
+        f"sgn_{r}((1)/()) = 0",
+        "runner 0: bead counts differ",
+        "runner 1: bead counts differ",
+        f"runners with no bead: {r - 2} (type I)",
+    ]
+    code, out, _ = run_cli(capsys, ["sgn", "--lambda", "1", "--r", str(r), "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["runners"] == [[0, "bead counts differ"], [1, "bead counts differ"]]
+    assert data["empty_runners"] == r - 2
 
 
 def test_sgn_runner_report_buckets_the_abaci_once(capsys, monkeypatch):
@@ -154,7 +172,8 @@ def test_sgn_json_schema(capsys):
     data = json.loads(out)
     assert data["sign"] == 0
     assert data["decomposition"] is None
-    assert data["runners"] == ["type II", "type I"]
+    assert data["runners"] == [[0, "type II"], [1, "type I"]]
+    assert data["empty_runners"] == 0
 
 
 def test_decompose_prints_full_chain(capsys):

@@ -125,6 +125,21 @@ def test_make_skew_rejects_non_contained():
         make_skew(make_partition([2]), make_partition([1, 1]))
 
 
+def test_make_skew_rejects_shapes_that_are_not_partitions():
+    # a tuple, a list and an unsorted tuple, as outer and as inner
+    p = make_partition([2, 1])
+    for bad in ((2, 1), [2, 1], (1, 2)):
+        with pytest.raises(InvalidPartition, match=r"^outer must be a Partition.*make_partition"):
+            make_skew(bad, p)
+        with pytest.raises(InvalidPartition, match=r"^inner must be a Partition.*make_partition"):
+            make_skew(p, bad)
+    skew = make_skew(p, make_partition([1]))
+    with pytest.raises(InvalidPartition, match="^inner must be"):
+        skew._replace(inner=(1,))
+    with pytest.raises(InvalidPartition, match="^outer must be"):
+        type(skew)._make(([2, 1], make_partition([1])))
+
+
 def test_minimal_distinct_row():
     lam = make_partition([13, 10, 10, 5, 4, 3, 1])
     nu = make_partition([11, 7, 4, 3, 1])

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -31,7 +32,14 @@ from plethabacus.abacus import (
     runner_beads,
     single_step_moves,
 )
-from plethabacus.partitions import Box, Partition, make_partition, make_skew, partitions_up_to
+from plethabacus.partitions import (
+    Box,
+    Partition,
+    make_partition,
+    make_skew,
+    partitions_of_size_containing,
+    partitions_up_to,
+)
 from plethabacus.strips import (
     EmptySkew,
     NotDivisible,
@@ -797,6 +805,31 @@ def test_removal_table_leaves_reports_unchanged(monkeypatch):
     for report in warm:
         for s in report.summands:
             assert type(s.mu) is Partition and make_partition(s.mu) == s.mu, (report, s)
+
+
+# sha256 of the concatenated reprs of the sign_recursion_check reports on
+# the 13,585 skews of _report_digest: any change to any report changes it
+GOLDEN_REPORT_DIGEST = "ae80bc470ddfe3da56adfeb6d8196aa5c7c098ef0dc61f34ee711ca23c29f6a1"
+
+
+def _report_digest():
+    # r in 1..7, |nu| <= 6, |lam| <= 12 with r dividing |lam| - |nu|
+    # (m = 0 included), in this loop order
+    digest, count = hashlib.sha256(), 0
+    for r in range(1, 8):
+        for nu in partitions_up_to(6):
+            for size in range(nu.size(), 13, r):
+                for lam in partitions_of_size_containing(size, nu):
+                    digest.update(repr(sign_recursion_check(make_skew(lam, nu), r)).encode())
+                    count += 1
+    return count, digest.hexdigest()
+
+
+def test_reports_match_the_golden_digest(monkeypatch):
+    # once on an empty memo, once on the memo that pass filled
+    _empty_memo(monkeypatch)
+    assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
+    assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
 
 
 def _own_weight(report):
