@@ -6,10 +6,10 @@ expansions through border-strip removals, while oracle recomputes the
 same expansions with one bialternant determinant per Schur function.
 Every public function and class of those five modules is exported here,
 and nothing else of theirs: helpers that only the tests use live in the
-tests. Neither half imports numpy: the dense polynomial ring (`ring`) is
-loaded on first access to one of its public names, such as
-schur_decompose. The command line lives in `cli`, which importing the
-package does not load.
+tests. Neither half imports numpy. The one module that does is the
+dense polynomial ring, `ring`, whose names (schur_decompose, poly_schur,
+...) are read from it and not from here. The command line lives in
+`cli`. Importing the package loads neither `ring` nor `cli`.
 """
 
 from .abacus import (
@@ -26,7 +26,6 @@ from .abacus import (
     runner_beads,
     single_step_moves,
 )
-from .oracle import RING_NAMES as _RING_NAMES
 from .oracle import oracle_plethystic_mn
 from .partitions import (
     Box,
@@ -70,15 +69,3 @@ from .symfunc import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name in _RING_NAMES:
-        from . import ring
-
-        return getattr(ring, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_RING_NAMES})

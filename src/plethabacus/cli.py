@@ -30,8 +30,7 @@ def _parse_partition(text: str) -> Partition:
     if text.strip() == "-":
         return make_partition([])
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
-        return make_partition(parts)
+        return make_partition([int(x) for x in text.split(",")])
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {e}") from e
 
@@ -48,10 +47,7 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    out = [_positive_int(x) for x in text.split(",") if x.strip() != ""]
-    if not out:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return out
+    return [_positive_int(x) for x in text.split(",")]
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -301,9 +297,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as e:
-        # every ValueError of the library checks its input; broken invariants
-        # raise AssertionError
+    except (ValueError, OverflowError) as e:
+        # every ValueError of the library checks its input, and an
+        # OverflowError is an integer too large for an index; broken
+        # invariants raise AssertionError
         parser.error(str(e))
 
 

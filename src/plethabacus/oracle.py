@@ -6,15 +6,16 @@ exact at any degree and builds no polynomial. It visits only the shapes
 whose matrix can be nonzero, and takes the determinant as a product of
 residue blocks.
 
-The dense polynomial ring lives in `ring`, which imports numpy; its
-public names stay readable here and load it on first access.
+The dense polynomial ring lives in `ring`, which imports numpy. This
+module forwards its public names, loading it on first access; the
+package root does not.
 """
 
 from __future__ import annotations
 
 from .partitions import Partition, SchurExpansion, _integer
 
-# the public names of `ring`, forwarded by this module and the package root
+# the public names of `ring`, forwarded by this module
 RING_NAMES = (
     "MultivariatePolynomial",
     "NotSymmetric",

@@ -12,6 +12,7 @@ moves on the r-runner abacus.
 from __future__ import annotations
 
 import enum
+import threading
 from operator import ge
 from typing import NamedTuple
 
@@ -467,7 +468,9 @@ class SignRecursionReport(_Record):
 # per removal, a part being a slot and an int object, and _SLOT_BYTES per
 # tail, whose mu is a removal's. A call that finds _weight past _CAP empties
 # both tables first, so the memo holds at most _CAP plus the last call's
-# own shapes, removals and tails.
+# own shapes, removals and tails. A call holds _lock from the clear to its
+# last weight update, so concurrent calls extend no group twice and lose
+# no weight.
 _CAP = 8 << 20
 _GROUP_BYTES = 104
 _PART_BYTES = 40
@@ -475,6 +478,7 @@ _SLOT_BYTES = 64
 _removals: dict[tuple[Partition, int], tuple[list, list[int]]] = {}
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
 _weight = 0
+_lock = threading.Lock()
 
 
 def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
@@ -506,7 +510,8 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     some call. A sweep meets most tails many times, so each tail sign
     sgn_r(mu/nu) is computed once (a new mu's on its moved bead list) and
     then read from the memo; a mu found there contains nu. The memo has no
-    option and changes no report.
+    option and changes no report. Concurrent calls are safe: each holds
+    the memo's lock for its whole walk, so they run one at a time.
     """
     global _weight
     r = _integer("strip length", r, 1)
@@ -514,71 +519,72 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     m, rest = divmod(size, r)
     if rest:
         raise NotDivisible(f"size {size} not divisible by {r}")
-    if _weight > _CAP:
-        _removals.clear()
-        _tails.clear()
-        _weight = 0
-    lam, nu = skew.outer, skew.inner
-    # lam contains nu, so b beads hold both
-    b = max(len(lam), 1)
-    beads, inner = _beads_of(lam, b), _beads_of(nu, b)
-    if not m:
-        # an empty skew has no summands
-        return SignRecursionReport(skew, r, 0, _chain_sign(beads, inner, r), ())
-    entry = _removals.get((lam, r))
-    if entry is None:
-        # a stable sort by runner keeps each runner's positions descending
-        order = sorted(range(b), key=lambda k: beads[k] % r)
-        # a bead below r has no removal at all
-        entry = _removals[lam, r] = ([() if beads[i] < r else [] for i in order], order)
-        _weight += _GROUP_BYTES * (b + 4)
-    groups, order = entry
-    tails = _tails.get((nu, r))
-    if tails is None:
-        tails = _tails[nu, r] = {}
-        _weight += _GROUP_BYTES * (len(nu) + 4)
-    signed = len(tails)
-    rows = len(nu)
-    summands = []
-    new = tuple.__new__  # a RecursionSummand, with no Python-level call
-    occupied = None
-    for k, group in enumerate(groups):
-        length = 0
-        for mu, length, sign in group:
-            tail = tails.get(mu)
-            if tail is None:
-                if len(mu) < rows or not all(map(ge, mu, nu)):
-                    break
-                tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-            summands.append(new(RecursionSummand, (mu, length, sign, tail)))
-        else:
-            if type(group) is tuple:
-                continue
-            # every removal built so far keeps nu: build the bead's next
-            # ones, after the last, up to the first that fails nu or to q = m
-            if occupied is None:
-                occupied = set(beads)
-            i = order[k]
-            beta = beads[i]
-            for target in range(beta - length - r, max(beta - size, 0) - 1, -r):
-                if target in occupied:
-                    continue
-                moved = beads.copy()
-                height = _raise_bead(moved, i, target, inner)
-                if height is None:
-                    break
-                mu = _partition_of_beads(moved)
-                sign = -1 if height & 1 else 1
-                group.append((mu, beta - target, sign))
-                _weight += _PART_BYTES * (len(mu) + 5)
+    with _lock:
+        if _weight > _CAP:
+            _removals.clear()
+            _tails.clear()
+            _weight = 0
+        lam, nu = skew.outer, skew.inner
+        # lam contains nu, so b beads hold both
+        b = max(len(lam), 1)
+        beads, inner = _beads_of(lam, b), _beads_of(nu, b)
+        if not m:
+            # an empty skew has no summands
+            return SignRecursionReport(skew, r, 0, _chain_sign(beads, inner, r), ())
+        entry = _removals.get((lam, r))
+        if entry is None:
+            # a stable sort by runner keeps each runner's positions descending
+            order = sorted(range(b), key=lambda k: beads[k] % r)
+            # a bead below r has no removal at all
+            entry = _removals[lam, r] = ([() if beads[i] < r else [] for i in order], order)
+            _weight += _GROUP_BYTES * (b + 4)
+        groups, order = entry
+        tails = _tails.get((nu, r))
+        if tails is None:
+            tails = _tails[nu, r] = {}
+            _weight += _GROUP_BYTES * (len(nu) + 4)
+        signed = len(tails)
+        rows = len(nu)
+        summands = []
+        new = tuple.__new__  # a RecursionSummand, with no Python-level call
+        occupied = None
+        for k, group in enumerate(groups):
+            length = 0
+            for mu, length, sign in group:
                 tail = tails.get(mu)
                 if tail is None:
-                    tail = tails[mu] = _chain_sign(moved, inner, r)
-                summands.append(new(RecursionSummand, (mu, beta - target, sign, tail)))
+                    if len(mu) < rows or not all(map(ge, mu, nu)):
+                        break
+                    tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
+                summands.append(new(RecursionSummand, (mu, length, sign, tail)))
             else:
-                # no target >= 0 is left untried
-                if beta < size + r:
-                    groups[k] = tuple(group)
-    _weight += _SLOT_BYTES * (len(tails) - signed)
-    lhs = _chain_sign(beads, inner, r)
-    return SignRecursionReport(skew, r, m, lhs, tuple(summands))
+                if type(group) is tuple:
+                    continue
+                # every removal built so far keeps nu: build the bead's next
+                # ones, after the last, up to the first that fails nu or to q = m
+                if occupied is None:
+                    occupied = set(beads)
+                i = order[k]
+                beta = beads[i]
+                for target in range(beta - length - r, max(beta - size, 0) - 1, -r):
+                    if target in occupied:
+                        continue
+                    moved = beads.copy()
+                    height = _raise_bead(moved, i, target, inner)
+                    if height is None:
+                        break
+                    mu = _partition_of_beads(moved)
+                    sign = -1 if height & 1 else 1
+                    group.append((mu, beta - target, sign))
+                    _weight += _PART_BYTES * (len(mu) + 5)
+                    tail = tails.get(mu)
+                    if tail is None:
+                        tail = tails[mu] = _chain_sign(moved, inner, r)
+                    summands.append(new(RecursionSummand, (mu, beta - target, sign, tail)))
+                else:
+                    # no target >= 0 is left untried
+                    if beta < size + r:
+                        groups[k] = tuple(group)
+        _weight += _SLOT_BYTES * (len(tails) - signed)
+        lhs = _chain_sign(beads, inner, r)
+        return SignRecursionReport(skew, r, m, lhs, tuple(summands))

@@ -436,6 +436,49 @@ def test_usage_errors_exit_2(capsys, args):
     assert re.fullmatch(r"plethabacus( \w+)?: error: \S.*", err.splitlines()[-1]), err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["expand", "--nu", "3,,1", "--r", "1", "--m", "1"], "--nu: bad partition '3,,1': "),
+        (["sgn", "--lambda", "3,1,", "--r", "2"], "--lambda: bad partition '3,1,': "),
+        (["expand", "--r", "1", "--ms", "1,,2"], "--ms: bad integer ''"),
+        # `-` is the only spelling of the empty partition
+        (["expand", "--nu", "", "--r", "1", "--m", "1"], "--nu: bad partition '': "),
+    ],
+    ids=["nu", "lambda", "ms", "empty-nu"],
+)
+def test_a_blank_field_is_a_usage_error(capsys, args, message):
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"plethabacus {args[0]}: error: argument {message}")
+
+
+def test_spaces_around_parts_are_accepted(capsys):
+    spaced = run_cli(capsys, ["expand", "--nu", "3, 1", "--r", "1", "--ms", " 1 , 1"])
+    assert spaced[0] == 0
+    assert spaced == run_cli(capsys, ["expand", "--nu", "3,1", "--r", "1", "--ms", "1,1"])
+    code, out, _ = run_cli(capsys, ["expand", "--nu", " - ", "--r", "1", "--m", "1"])
+    assert (code, out) == (0, "+ s[1]\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expand", "--r", str(10**20), "--m", "1"],
+        ["abacus", "--lambda", "1", "--runners", "2", "--beads", str(10**20)],
+    ],
+)
+def test_an_integer_too_large_for_an_index_exits_2(capsys, args):
+    # past sys.maxsize, so the call fails before it allocates anything;
+    # sgn at such an r still answers (test_sgn_runner_report_is_sized_by...)
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: plethabacus ")
+    assert err.splitlines()[-1] == (
+        "plethabacus: error: cannot fit 'int' into an index-sized integer"
+    )
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plethabacus", "expand", "--nu", "-", "--r", "2", "--m", "2"],

@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -830,6 +832,39 @@ def test_reports_match_the_golden_digest(monkeypatch):
     _empty_memo(monkeypatch)
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
+
+
+def test_concurrent_calls_leave_reports_and_memo_intact(monkeypatch):
+    # four threads sweep the same 1,527 skews (r <= 3, |nu| <= 3, |lam| <= 10,
+    # m >= 1) from an empty memo, switching as often as the interpreter can;
+    # two unlocked calls extend the same group twice and corrupt the memo
+    cases = [
+        (make_skew(lam, nu), r)
+        for r in range(1, 4)
+        for nu in partitions_up_to(3)
+        for size in range(nu.size() + r, 11, r)
+        for lam in partitions_of_size_containing(size, nu)
+    ]
+    assert len(cases) == 1527
+
+    def sweep():
+        return [repr(sign_recursion_check(skew, r)) for skew, r in cases]
+
+    _empty_memo(monkeypatch)
+    want = sweep()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            _empty_memo(monkeypatch)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(sweep) for _ in range(4)]
+                during = [run.result() for run in runs]
+            after = sweep()
+            wrong = [sum(map(str.__ne__, got, want)) for got in (*during, after)]
+            assert wrong == [0] * 5
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _own_weight(report):
