@@ -47,7 +47,10 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [_positive_int(x) for x in text.split(",")]
+    try:
+        return [_positive_int(x) for x in text.split(",")]
+    except argparse.ArgumentTypeError as e:
+        raise argparse.ArgumentTypeError(f"bad list {text!r}: {e}") from e
 
 
 def _parse_range(text: str) -> tuple[int, int]:

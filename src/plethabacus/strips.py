@@ -459,13 +459,16 @@ class SignRecursionReport(_Record):
 
 # The memo of sign_recursion_check: two tables under one budget.
 # _removals[(lam, r)] = (groups, order), where groups[k], in report order,
-# holds the removals (mu, q*r, strip sign) built so far of the bead at
-# index order[k] of lam's descending bead list, in ascending q, and is a
-# tuple once it holds them all. _tails[(nu, r)] maps every mu signed so far
+# holds the removals built so far of the bead at index order[k] of lam's
+# descending bead list, in ascending q, and is a tuple once it holds them
+# all. Each removal is stored as its zero-tail summand
+# RecursionSummand(mu, q*r, strip sign, 0), the very object a report holds
+# where sgn_r(mu/nu) is 0. _tails[(nu, r)] maps every mu signed so far
 # to sgn_r(mu/nu). _weight counts the bytes of both tables, set high:
 # _GROUP_BYTES * (b + 4) for a shape of b beads or rows (its lists or dict,
 # key and slot come to at most 4 groups' worth), _PART_BYTES * (len(mu) + 5)
-# per removal, a part being a slot and an int object, and _SLOT_BYTES per
+# per removal, a part being a slot and an int object (the summand, mu's
+# header and the group's slot fit in the 5), and _SLOT_BYTES per
 # tail, whose mu is a removal's. A call that finds _weight past _CAP empties
 # both tables first, so the memo holds at most _CAP plus the last call's
 # own shapes, removals and tails. A call holds _lock from the clear to its
@@ -502,10 +505,13 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
 
     The removals depend on lam and r alone, so the memo (see its comment)
     keeps them per outer shape and every inner shape walks the same
-    groups. Only a walk that passes every stored removal of an unfinished
-    group builds more: one _raise_bead move against nu's bead list per
-    free target, resuming after the last stored strip, up to the first that
-    fails nu or to q = m. So a call moves a bead only where a walk without
+    groups. A removal is stored as its summand with tail sign 0, and a
+    report holds that object wherever the tail sign is 0, as it is for most
+    summands; only a nonzero tail gets a summand of its own. Only a walk
+    that passes every stored removal of an unfinished group builds more:
+    one _raise_bead move against nu's bead list per free target, resuming
+    after the last stored strip, up to the first that fails nu or to
+    q = m. So a call moves a bead only where a walk without
     the memo would, and the memo holds only removals that were summands of
     some call. A sweep meets most tails many times, so each tail sign
     sgn_r(mu/nu) is computed once (a new mu's on its moved bead list) and
@@ -550,13 +556,16 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         occupied = None
         for k, group in enumerate(groups):
             length = 0
-            for mu, length, sign in group:
+            for removal in group:
+                mu, length, sign, _ = removal
                 tail = tails.get(mu)
                 if tail is None:
                     if len(mu) < rows or not all(map(ge, mu, nu)):
                         break
                     tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-                summands.append(new(RecursionSummand, (mu, length, sign, tail)))
+                if tail:
+                    removal = new(RecursionSummand, (mu, length, sign, tail))
+                summands.append(removal)
             else:
                 if type(group) is tuple:
                     continue
@@ -574,13 +583,16 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     if height is None:
                         break
                     mu = _partition_of_beads(moved)
-                    sign = -1 if height & 1 else 1
-                    group.append((mu, beta - target, sign))
+                    length, sign = beta - target, -1 if height & 1 else 1
+                    removal = new(RecursionSummand, (mu, length, sign, 0))
+                    group.append(removal)
                     _weight += _PART_BYTES * (len(mu) + 5)
                     tail = tails.get(mu)
                     if tail is None:
                         tail = tails[mu] = _chain_sign(moved, inner, r)
-                    summands.append(new(RecursionSummand, (mu, beta - target, sign, tail)))
+                    if tail:
+                        removal = new(RecursionSummand, (mu, length, sign, tail))
+                    summands.append(removal)
                 else:
                     # no target >= 0 is left untried
                     if beta < size + r:

@@ -441,11 +441,12 @@ def test_usage_errors_exit_2(capsys, args):
     [
         (["expand", "--nu", "3,,1", "--r", "1", "--m", "1"], "--nu: bad partition '3,,1': "),
         (["sgn", "--lambda", "3,1,", "--r", "2"], "--lambda: bad partition '3,1,': "),
-        (["expand", "--r", "1", "--ms", "1,,2"], "--ms: bad integer ''"),
+        (["expand", "--r", "1", "--ms", "1,,2"], "--ms: bad list '1,,2': bad integer ''"),
+        (["expand", "--r", "1", "--ms", "1,0"], "--ms: bad list '1,0': must be >= 1, got 0"),
         # `-` is the only spelling of the empty partition
         (["expand", "--nu", "", "--r", "1", "--m", "1"], "--nu: bad partition '': "),
     ],
-    ids=["nu", "lambda", "ms", "empty-nu"],
+    ids=["nu", "lambda", "ms", "ms-below-1", "empty-nu"],
 )
 def test_a_blank_field_is_a_usage_error(capsys, args, message):
     code, out, err = run_cli(capsys, args)

@@ -46,6 +46,7 @@ from plethabacus.strips import (
     EmptySkew,
     NotDivisible,
     NotTypeIICase,
+    RecursionSummand,
     RunnerType,
     border_strips,
     classify_runner,
@@ -733,7 +734,9 @@ def _removal_weight(skip=None):
         assert len(groups) == len(order)
         if key != skip:
             total += strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
-                strips_module._PART_BYTES * (len(mu) + 5) for group in groups for mu, _, _ in group
+                strips_module._PART_BYTES * (len(mu) + 5)
+                for group in groups
+                for mu, _, _, _ in group
             )
     return total
 
@@ -757,7 +760,7 @@ def _tails_are_removals():
     # every tail's mu is the very object some removal holds (ids of live
     # objects are distinct, so an id match is an `is` match)
     held = {id(mu) for groups, _ in strips_module._removals.values()
-            for group in groups for mu, _, _ in group}
+            for group in groups for mu, _, _, _ in group}
     return all(id(mu) in held for tails in strips_module._tails.values() for mu in tails)
 
 
@@ -980,7 +983,7 @@ def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
     lam = make_partition([big])
     report = sign_recursion_check(make_skew(lam, make_partition([big - 1])), 1)
     assert report.summands == ((make_partition([big - 1]), 1, 1, 1),)
-    assert strips_module._removals[lam, 1][0] == [[(make_partition([big - 1]), 1, 1)]]
+    assert strips_module._removals[lam, 1][0] == [[(make_partition([big - 1]), 1, 1, 0)]]
     # a larger m extends the same outer shape's removals
     report = sign_recursion_check(make_skew(lam, make_partition([big - 3])), 1)
     assert [s.strip_length for s in report.summands] == [1, 2, 3]
@@ -992,7 +995,51 @@ def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
         # an empty skew (m = 0) makes no entry
         groups = strips_module._removals.get((lam, r), ((),))[0]
         held = [x for group in groups for x in group]
-        assert held == [s[:3] for s in report.summands], (lam, nu, r)
+        assert held == [(*s[:3], 0) for s in report.summands], (lam, nu, r)
+
+
+def _stored_removals():
+    return [e for groups, _ in strips_module._removals.values() for g in groups for e in g]
+
+
+def test_zero_tail_summands_are_the_memo_removals(monkeypatch):
+    # a report holds the memo's own removal wherever the tail sign is 0 and
+    # builds a summand only for a nonzero tail; on an empty memo, then on
+    # the memo that pass filled (the sweep stays far below the cap)
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
+    _empty_memo(monkeypatch)
+    for _ in range(2):
+        reports = [sign_recursion_check(skew, r) for skew, r in cases]
+        assert strips_module._weight <= strips_module._CAP
+        stored = _stored_removals()
+        assert all(type(e) is RecursionSummand and e.tail_sign == 0 for e in stored)
+        # ids of live objects are distinct, so an id match is an `is` match
+        stored_ids = {id(e) for e in stored}
+        zero = 0
+        for (skew, r), report in zip(cases, reports):
+            groups = strips_module._removals.get((skew.outer, r), ((),))[0]
+            own = {id(e) for g in groups for e in g}
+            for s in report.summands:
+                if s.tail_sign == 0:
+                    zero += 1
+                    assert id(s) in own, (skew, r, s)
+                else:
+                    assert id(s) not in stored_ids, (skew, r, s)
+        assert zero == 944
+
+
+def test_memo_weight_counts_each_stored_removal_high(monkeypatch):
+    # a removal's summand, its mu and its slot in the group weigh no more
+    # than the count the memo adds for it
+    cases = [(make_skew(lam, nu), r) for lam, nu, r in skews_up_to(8, 6, (1, 2, 3))]
+    _empty_memo(monkeypatch)
+    for skew, r in cases:
+        sign_recursion_check(skew, r)
+    stored = _stored_removals()
+    assert stored
+    for e in stored:
+        weight = strips_module._PART_BYTES * (len(e.mu) + 5)
+        assert sys.getsizeof(e) + sys.getsizeof(e.mu) + 8 <= weight, e
 
 
 def test_removal_table_weighs_a_many_row_shape_by_its_summands(monkeypatch):
