@@ -13,7 +13,7 @@ package root does not.
 
 from __future__ import annotations
 
-from .partitions import Partition, SchurExpansion, _integer
+from .partitions import Partition, SchurExpansion, _integer, _partition
 
 # the public names of `ring`, forwarded by this module
 RING_NAMES = (
@@ -144,6 +144,7 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     the blocks' determinants, each taken by _det, times the signs of the
     two sorts. It is exact in Python ints at every degree.
     """
+    nu = _partition("nu", nu)
     r, m = _integer("r", r, 1), _integer("m", m, 0)
     degree = r * m + nu.size()
     # every difference (lam_i - i) - (nu_j - j) is below 2 * degree, so a

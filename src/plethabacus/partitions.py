@@ -123,6 +123,19 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition._trusted(seq)
 
 
+def _partition(name: str, shape: Partition) -> Partition:
+    """shape itself if it is a Partition, else an InvalidPartition naming the argument.
+
+    A tuple or a list of parts is rejected, not converted: the public
+    calls that take a shape check it here, once, where it enters.
+    """
+    if not isinstance(shape, Partition):
+        raise InvalidPartition(
+            f"{name} must be a Partition, got {shape!r}; build it with make_partition"
+        )
+    return shape
+
+
 class _SkewFields(NamedTuple):
     outer: Partition
     inner: Partition
@@ -139,12 +152,12 @@ class SkewPartition(_SkewFields):
     __slots__ = ()
 
     def __new__(cls, outer: Partition, inner: Partition) -> "SkewPartition":
+        # both checks inline, and _partition only names the bad shape: a
+        # sweep builds a skew per case
         if not (isinstance(outer, Partition) and isinstance(inner, Partition)):
-            name, shape = ("inner", inner) if isinstance(outer, Partition) else ("outer", outer)
-            raise InvalidPartition(
-                f"{name} must be a Partition, got {shape!r}; build it with make_partition"
-            )
-        # Partition.contains, inline: a sweep builds a skew per case
+            _partition("outer", outer)
+            _partition("inner", inner)
+        # Partition.contains, inline too
         if len(outer) < len(inner) or not all(map(ge, outer, inner)):
             raise NotContained(f"{inner} is not contained in {outer}")
         return tuple.__new__(cls, (outer, inner))

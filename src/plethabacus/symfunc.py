@@ -8,10 +8,7 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from operator import add
-
-from .abacus import _beads_of
-from .partitions import Partition, SchurExpansion, _integer
+from .partitions import Partition, SchurExpansion, _integer, _partition
 
 
 def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
@@ -28,9 +25,10 @@ def plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     The input checks, then the one walk kernel _terms, which the folds
     call too, so every product of this module is read off the same walk.
     Each term is built along its greedy chain run in reverse, and the
-    last step reads its parts off the moved bead list, cut at its row
-    count, with no decode call per term.
+    last step wraps its moved part list, cut at its row count, with no
+    decode call per term. A nu that is not a Partition is rejected here.
     """
+    nu = _partition("nu", nu)
     r, m = _integer("r", r, 1), _integer("m", m, 0)
     return SchurExpansion._trusted(nu.size() + r * m, _terms(nu, r, m))
 
@@ -44,66 +42,69 @@ def _terms(nu: Partition, r: int, m: int) -> dict[Partition, int]:
     greedy chain, so it is built once, and every lam built is
     r-decomposable, since that chain is its decomposition.
 
-    The state is mu's descending bead list at n = len(nu) + r beads, one
-    padding bead per runner, with k the length of its common prefix with
-    nu's list; at the start mu = nu and k = n. A reverse step takes the
-    bead at index idx, at position p, with t = p + r free. It lands at
-    index i, the number of beads at positions greater than t, and passes
-    idx - i beads: the strip height. The step is valid exactly when
-    i <= k and t > nu_beads[i]. Then the greedy first removal from the
-    new lam raises that bead back to p and gives mu, and the new k is i.
-    The second condition always holds, because mu dominates nu entrywise
-    and t exceeds mu's entry at i. Beads at positions <= mu[k] - r cannot
-    land at i <= k, so the scan stops there, and every bead scanned
-    before it satisfies i <= k.
+    The state is mu's zero-padded part list, n = len(nu) + r rows, one
+    padding row per runner. On an abacus of n beads, row j's bead sits at
+    mu_j + n - 1 - j, so every test on bead positions is made here on the
+    row values mu_j - j, which are strictly decreasing down the rows.
+    k is the length of the common prefix of mu's and nu's lists; at the
+    start mu = nu and k = n. A reverse step takes row idx, of value v,
+    to the value v + r. It lands at row i, the number of rows of value
+    greater than v + r, and passes idx - i rows: the strip height. The
+    step is valid exactly when i <= k and v + r exceeds the value of
+    nu's row i. Then the greedy first removal from the new lam takes
+    that row back to v and gives mu, and the new k is i. The second
+    condition always holds, because mu's values dominate nu's entrywise
+    and v + r exceeds mu's value at i. Rows of value <= mu_k - k - r
+    cannot land at i <= k, so the scan stops there, and every row
+    scanned before it satisfies i <= k.
 
-    A step copies mu's list, deletes the bead at idx and inserts t at i.
-    Row j of a list has part beads[j] + j + 1 - n. Rows above i keep
-    mu's parts, the new part at i exceeds mu's part there, rows
-    i + 1 .. idx hold mu's rows i .. idx - 1 one row lower, each part one
-    larger, and the rows below idx keep mu's parts. The state carries z,
-    mu's row count (len(nu) at the start), and i <= z: the zero-part
-    beads fill positions 0 .. n - z - 1, so a t among them is taken. So
-    lam has max(z, idx + 1) rows, and a last step cuts its list there and
-    maps positions to parts in one C-level map: no term has a zero part,
-    and no decode function runs per term.
+    A step copies mu's list. Rows above i keep mu's parts, row i takes
+    the value v + r, rows i + 1 .. idx hold mu's rows i .. idx - 1 one
+    row lower, each part one larger, and the rows below idx keep mu's
+    parts; a step of height 0 sets row i alone. The state carries z,
+    mu's row count (len(nu) at the start), and i <= z: the zero rows
+    z .. n - 1 have the values -z .. 1 - n, so a landing value among them
+    is taken. So lam has max(z, idx + 1) rows, and a last step cuts its
+    list there and wraps it as the term: no term has a zero part, and no
+    decode runs per term.
 
-    One padding bead per runner suffices: in an r-decomposable lam/nu only
+    One padding row per runner suffices: in an r-decomposable lam/nu only
     the top bead of each runner's packed stack of zero-part beads moves,
     so lam has at most len(nu) + r rows.
     """
     if m == 0:
         return {nu: 1}
-    nu_beads = _beads_of(nu, len(nu) + r)
-    n = len(nu_beads)
-    trusted, offsets = Partition._trusted, range(1 - n, 1)
+    n, r1 = len(nu) + r, r - 1
+    trusted = Partition._trusted
     terms: dict[Partition, int] = {}
     # depth first on an explicit stack: a recursion would be m calls deep
-    stack = [(nu_beads, n, len(nu), 0, m)]
+    stack = [([*nu, *[0] * r], n, len(nu), 0, m)]
     while stack:
-        beads, k, z, height, left = stack.pop()
-        floor = beads[k] - r if k < n else -1
-        for idx, p in enumerate(beads):
-            if p <= floor:
+        parts, k, z, height, left = stack.pop()
+        # row j's value is read as parts[j] - j - 1, and t is the landing
+        # value read the same way, so row i's new part is t + i + 1
+        floor = parts[k] - k - 1 if k < n else r1 - n
+        for idx, p in enumerate(parts):
+            t = p + r1 - idx
+            if t <= floor:
                 break
-            t = p + r
             i = idx
-            while i and beads[i - 1] < t:
+            while i and parts[i - 1] - i < t:
                 i -= 1
-            if i and beads[i - 1] == t:
+            if i and parts[i - 1] - i == t:
                 continue
-            lam = beads.copy()
-            del lam[idx]
-            lam.insert(i, t)
+            lam = parts.copy()
+            lam[i] = t + i + 1
+            if i < idx:
+                for j in range(i, idx):
+                    lam[j + 1] = parts[j] + 1
             h = height + idx - i
             rows = z if idx < z else idx + 1
             if left > 1:
                 stack.append((lam, i, rows, h, left - 1))
                 continue
             del lam[rows:]
-            # from a list of known length: a tuple built from the map itself
-            # is resized, and its spare temporaries fill the free lists
-            shape = trusted(list(map(add, lam, offsets)))
+            shape = trusted(lam)
             count = len(terms)
             terms[shape] = -1 if h & 1 else 1
             if len(terms) == count:
@@ -121,8 +122,8 @@ def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
     first, while the expansion they act on is still small. Each factor
     merges c * d over the walk's own term dicts, _terms(p, r, m) for
     every term c * s_p so far, into a plain dict, and drops the zeros;
-    the one SchurExpansion is built at the end. The callers check every
-    factor before the first expansion.
+    the one SchurExpansion is built at the end. The callers check nu and
+    every factor before the first expansion.
     """
     acc = {nu: 1}
     degree = nu.size()
@@ -139,11 +140,11 @@ def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
 
 def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_{m_1} * ... * h_{m_d})."""
-    r = _integer("r", r, 1)
+    nu, r = _partition("nu", nu), _integer("r", r, 1)
     return _fold(nu, [(r, _integer("m", m, 0)) for m in ms])
 
 
 def power_product_pleth(nu: Partition, rs: list[int], m: int) -> SchurExpansion:
     """Expansion of s_nu * product over i of (p_{r_i} applied to h_m)."""
-    m = _integer("m", m, 0)
+    nu, m = _partition("nu", nu), _integer("m", m, 0)
     return _fold(nu, [(_integer("r", r, 1), m) for r in rs])

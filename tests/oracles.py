@@ -10,9 +10,11 @@ exhaustive search for the type II pair set built on it, the
 oracle's expansion through Kostka numbers or through one full
 bialternant matrix per partition of the degree, the runner-by-runner
 generation of plethystic_mn's shapes, the greedy chain read off one
-final_border_strip call per strip, and the folds of
+final_border_strip call per strip, the expansion walk on bead lists
+that plethystic_mn made before it moved rows, the folds of
 plethystic_mn_multi and power_product_pleth through the public
-plethystic_mn, with a checked expansion per factor.
+plethystic_mn, with a checked expansion per factor, and the term count
+of plethystic_mn read off the r-quotient, with no term built.
 
 The rest are small readings of shapes and abaci that no library path
 needs, kept for the checks that use them as references: the subshapes
@@ -23,6 +25,8 @@ abacus or read off a decomposition's chain.
 """
 
 from collections import Counter
+from itertools import accumulate
+from operator import add
 from typing import Iterator, Sequence
 
 from plethabacus.abacus import (
@@ -537,3 +541,114 @@ def public_fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion
                 terms[q] = terms.get(q, 0) + c * d
         acc = SchurExpansion(acc.degree + r * m, terms)
     return acc
+
+
+def bead_terms(nu: Partition, r: int, m: int) -> dict[Partition, int]:
+    """The terms of s_nu * (p_r applied to h_m), for checked r >= 1, m >= 0, on bead lists.
+
+    The walk symfunc._terms made before it moved rows: the same states,
+    order and signs on descending bead positions, each term's parts
+    mapped back from its cut bead list. It is the reference for the
+    kernel's term dicts, values and key order both.
+
+    Each lam is built by running its greedy final r-strip chain in
+    reverse, from nu upward, so its sign is (-1) to the sum of the heights
+    of the chain that built it. Each r-decomposable lam has exactly one
+    greedy chain, so it is built once, and every lam built is
+    r-decomposable, since that chain is its decomposition.
+
+    The state is mu's descending bead list at n = len(nu) + r beads, one
+    padding bead per runner, with k the length of its common prefix with
+    nu's list; at the start mu = nu and k = n. A reverse step takes the
+    bead at index idx, at position p, with t = p + r free. It lands at
+    index i, the number of beads at positions greater than t, and passes
+    idx - i beads: the strip height. The step is valid exactly when
+    i <= k and t > nu_beads[i]. Then the greedy first removal from the
+    new lam raises that bead back to p and gives mu, and the new k is i.
+    The second condition always holds, because mu dominates nu entrywise
+    and t exceeds mu's entry at i. Beads at positions <= mu[k] - r cannot
+    land at i <= k, so the scan stops there, and every bead scanned
+    before it satisfies i <= k.
+
+    A step copies mu's list, deletes the bead at idx and inserts t at i.
+    Row j of a list has part beads[j] + j + 1 - n. Rows above i keep
+    mu's parts, the new part at i exceeds mu's part there, rows
+    i + 1 .. idx hold mu's rows i .. idx - 1 one row lower, each part one
+    larger, and the rows below idx keep mu's parts. The state carries z,
+    mu's row count (len(nu) at the start), and i <= z: the zero-part
+    beads fill positions 0 .. n - z - 1, so a t among them is taken. So
+    lam has max(z, idx + 1) rows, and a last step cuts its list there and
+    maps positions to parts in one C-level map: no term has a zero part,
+    and no decode function runs per term.
+
+    One padding bead per runner suffices: in an r-decomposable lam/nu only
+    the top bead of each runner's packed stack of zero-part beads moves,
+    so lam has at most len(nu) + r rows.
+    """
+    if m == 0:
+        return {nu: 1}
+    nu_beads = _beads_of(nu, len(nu) + r)
+    n = len(nu_beads)
+    trusted, offsets = Partition._trusted, range(1 - n, 1)
+    terms: dict[Partition, int] = {}
+    # depth first on an explicit stack: a recursion would be m calls deep
+    stack = [(nu_beads, n, len(nu), 0, m)]
+    while stack:
+        beads, k, z, height, left = stack.pop()
+        floor = beads[k] - r if k < n else -1
+        for idx, p in enumerate(beads):
+            if p <= floor:
+                break
+            t = p + r
+            i = idx
+            while i and beads[i - 1] < t:
+                i -= 1
+            if i and beads[i - 1] == t:
+                continue
+            lam = beads.copy()
+            del lam[idx]
+            lam.insert(i, t)
+            h = height + idx - i
+            rows = z if idx < z else idx + 1
+            if left > 1:
+                stack.append((lam, i, rows, h, left - 1))
+                continue
+            del lam[rows:]
+            # from a list of known length: a tuple built from the map itself
+            # is resized, and its spare temporaries fill the free lists
+            shape = trusted(list(map(add, lam, offsets)))
+            count = len(terms)
+            terms[shape] = -1 if h & 1 else 1
+            if len(terms) == count:
+                raise AssertionError(
+                    f"candidate {shape} over {nu} with r={r}, m={m} is repeated"
+                )
+    return terms
+
+
+def quotient_term_count(nu: Partition, r: int, m: int) -> int:
+    """The number of terms of s_nu * (p_r applied to h_m), read off nu's r-quotient.
+
+    By Littlewood's r-quotient theorem a term is a horizontal strip of
+    total size m added across the runner partitions of nu's quotient, at
+    plethystic_mn's len(nu) + r beads, where every runner holds a bead.
+    On one runner the top bead rises freely, and each other bead rises by
+    at most g, the empty runner places between it and the start of the
+    bead above it: the difference of two consecutive parts of the runner
+    partition. So the count is the coefficient of x^m in the product over
+    runners of 1/(1 - x) times (1 + x + ... + x^g) over the runner's gaps,
+    each factor applied to the series cut at degree m. No term is built.
+    """
+    n = len(nu) + r
+    positions = [p + n - 1 - j for j, p in enumerate([*nu, *[0] * r])]
+    series = [1] + [0] * m
+    for t in range(r):
+        levels = [p // r for p in positions if p % r == t]  # descending
+        # times 1/(1 - x): running sums
+        series = list(accumulate(series))
+        for above, below in zip(levels, levels[1:]):
+            g = above - below - 1
+            # times 1 + x + ... + x^g: sums over windows of width g + 1
+            sums = [0, *accumulate(series)]
+            series = [sums[k + 1] - sums[max(0, k - g)] for k in range(m + 1)]
+    return series[m]

@@ -6,14 +6,17 @@ import sys
 import pytest
 
 from oracles import (
+    bead_terms,
     horizontal_strip_additions,
     public_fold,
+    quotient_term_count,
     ribbon_additions,
     runner_raise_candidates,
     runner_raises,
 )
 from plethabacus.oracle import oracle_plethystic_mn
 from plethabacus.partitions import (
+    InvalidPartition,
     Partition,
     make_partition,
     make_skew,
@@ -242,17 +245,21 @@ def test_runner_raises_equal_brute_force():
                     assert [sorted(b) for b in got] == want[: m + 1], (beads, r, m)
 
 
-def test_plethystic_mn_rejects_unsigned_and_repeated_candidates(monkeypatch):
+# a start that no Partition check would pass: its three rows share the
+# row value lam_j - j = 3, so each of them takes the same step to the
+# value 5 and the walk builds a term twice
+SHARED_ROW_VALUE = [3, 4, 5]
+
+
+def test_plethystic_mn_rejects_unsigned_and_repeated_candidates():
     # every term is built along its own greedy chain, so no unsigned
-    # candidate can arise; a start list with every bead at one position
-    # lets each of nu's rows take the same step, so the walk builds a
-    # term twice
+    # candidate can arise; only a start whose rows share a value, as a
+    # start list with beads at one position did, can repeat a term
+    bad = Partition._trusted(SHARED_ROW_VALUE)
+    for m in (1, 2):
+        with pytest.raises(AssertionError, match="repeated"):
+            plethystic_mn(bad, 2, m)
     nu = make_partition([1, 1, 1])
-    with monkeypatch.context() as patch:
-        patch.setattr(symfunc, "_beads_of", lambda parts, n: [2] * n)
-        for m in (1, 2):
-            with pytest.raises(AssertionError, match="repeated"):
-                plethystic_mn(nu, 2, m)
     assert len(plethystic_mn(nu, 2, 1).terms) > 1
     assert len(plethystic_mn(nu, 2, 2).terms) > 1
 
@@ -260,17 +267,62 @@ def test_plethystic_mn_rejects_unsigned_and_repeated_candidates(monkeypatch):
 def test_plethystic_mn_check_survives_optimize_flag():
     code = (
         "import sys\n"
-        "from plethabacus import make_partition, symfunc\n"
-        "symfunc._beads_of = lambda parts, n: [2] * n\n"
+        "from plethabacus import symfunc\n"
+        "from plethabacus.partitions import Partition\n"
         "for m in (1, 2):\n"
         "    try:\n"
-        "        symfunc.plethystic_mn(make_partition([1, 1, 1]), 2, m)\n"
-        "    except AssertionError:\n"
-        "        print('raised', m, sys.flags.optimize)\n"
+        f"        symfunc.plethystic_mn(Partition._trusted({SHARED_ROW_VALUE}), 2, m)\n"
+        "    except AssertionError as e:\n"
+        "        print('raised', m, sys.flags.optimize, 'repeated' in str(e))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised 1 1\nraised 2 1\n"
+    assert proc.stdout == "raised 1 1 True\nraised 2 1 True\n"
+
+
+def test_terms_equal_the_bead_walk_in_key_order():
+    # the row walk against the bead walk it replaced, over the benchmark's
+    # plethystic_mn range with m = 0 added: the same dicts, keys in order
+    cases = 0
+    for nu in partitions_up_to(8):
+        for r in range(1, 6):
+            for m in range(6):
+                if nu.size() + r * m > 24:
+                    continue
+                got = symfunc._terms(nu, r, m)
+                assert list(got.items()) == list(bead_terms(nu, r, m).items()), (nu, r, m)
+                cases += 1
+    assert cases == 1833
+
+
+def test_term_count_is_read_off_the_r_quotient():
+    cases = 0
+    for nu in partitions_up_to(6):
+        for r in range(1, 5):
+            for m in range(6):
+                assert quotient_term_count(nu, r, m) == len(symfunc._terms(nu, r, m)), (nu, r, m)
+                cases += 1
+    assert cases == 720
+    nu = make_partition([3, 1])
+    assert quotient_term_count(nu, 6, 9) == len(symfunc._terms(nu, 6, 9)) == 2002
+
+
+@pytest.mark.parametrize("nu", [(2, 1), [2, 1]], ids=["tuple", "list"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nu: plethystic_mn(nu, 2, 2),
+        lambda nu: mn_multiply(nu, 2),
+        lambda nu: plethystic_mn_multi(nu, 2, [1, 1]),
+        lambda nu: power_product_pleth(nu, [1, 2], 1),
+        lambda nu: oracle_plethystic_mn(nu, 2, 2),
+    ],
+    ids=["plethystic_mn", "mn_multiply", "plethystic_mn_multi", "power_product_pleth", "oracle"],
+)
+def test_a_nu_that_is_not_a_partition_is_rejected_by_name(call, nu):
+    message = r"^nu must be a Partition, got .*; build it with make_partition$"
+    with pytest.raises(InvalidPartition, match=message):
+        call(nu)
 
 
 def test_plethystic_mn_signs_equal_greedy_kernel():
