@@ -26,6 +26,11 @@ from .strips import r_decompose, runner_types, sign_recursion_check
 from .symfunc import plethystic_mn, plethystic_mn_multi
 
 
+# `abacus` refuses a grid of more cells than this, runners x (rows + 1)
+# with the header, before it prints
+ABACUS_MAX_CELLS = 10**6
+
+
 def _parse_partition(text: str) -> Partition:
     if text.strip() == "-":
         return make_partition([])
@@ -177,9 +182,13 @@ def cmd_sgn(args) -> int:
 def cmd_abacus(args) -> int:
     a = abacus_of(args.lam, args.beads)
     r = args.runners
+    rows = (max(a.bead_positions) // r + 1) if a.bead_positions else 0
+    # the header is one more row of the grid
+    cells = r * (rows + 1)
+    if cells > ABACUS_MAX_CELLS:
+        raise ValueError(f"abacus grid of {cells} cells is over the bound of {ABACUS_MAX_CELLS}")
     w = max(len(str(r - 1)), 1)
     print(" ".join(f"{t:>{w}}" for t in range(r)))
-    rows = (max(a.bead_positions) // r + 1) if a.bead_positions else 0
     for row in range(rows):
         print(" ".join(f"{'X' if a.has_bead(row * r + t) else 'o':>{w}}" for t in range(r)))
     return 0
@@ -279,9 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.set_defaults(handler=cmd_sgn)
 
-    p_abacus = sub.add_parser("abacus", help="render the runner diagram of a partition")
+    p_abacus = sub.add_parser(
+        "abacus",
+        help="render the runner diagram of a partition",
+        description=f"Render the runner diagram of a partition. A grid of more than "
+        f"{ABACUS_MAX_CELLS} cells, runners x (rows + 1) with the header row, is refused.",
+    )
     p_abacus.add_argument("--lambda", dest="lam", type=_parse_partition, required=True)
-    p_abacus.add_argument("--runners", type=_positive_int, required=True)
+    p_abacus.add_argument(
+        "--runners",
+        type=_positive_int,
+        required=True,
+        help=f"runner count; runners x (rows + 1) may not pass {ABACUS_MAX_CELLS} cells",
+    )
     p_abacus.add_argument("--beads", type=int, default=None)
     p_abacus.set_defaults(handler=cmd_abacus)
 

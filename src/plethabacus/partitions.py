@@ -112,14 +112,16 @@ def make_partition(parts: Iterable[int]) -> Partition:
     positive weakly decreasing ints then needs no second pass.
     """
     seq = _integers(parts)
-    # a weakly decreasing list is non-negative when its last entry is;
-    # only bad input pays for the min that picks the message
-    if seq and (seq[-1] < 0 or not all(map(ge, seq, seq[1:]))):
-        if min(seq) < 0:
-            raise InvalidPartition(f"negative part in {seq}")
-        raise InvalidPartition(f"not weakly decreasing: {seq}")
-    # the zeros of a weakly decreasing non-negative list end it
-    del seq[len(seq) - seq.count(0):]
+    if seq:
+        # a weakly decreasing list is non-negative when its last entry is;
+        # only bad input pays for the min that picks the message
+        if seq[-1] < 0 or not all(map(ge, seq, seq[1:])):
+            if min(seq) < 0:
+                raise InvalidPartition(f"negative part in {seq}")
+            raise InvalidPartition(f"not weakly decreasing: {seq}")
+        # the zeros of a weakly decreasing non-negative list end it
+        if not seq[-1]:
+            del seq[len(seq) - seq.count(0):]
     return Partition._trusted(seq)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from operator import ge
+from itertools import compress, count
+from operator import ge, ne
 from typing import NamedTuple
 
 from .abacus import (
@@ -518,27 +519,42 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     then read from the memo; a mu found there contains nu. The memo has no
     option and changes no report. Concurrent calls are safe: each holds
     the memo's lock for its whole walk, so they run one at a time.
+
+    The left side sgn_r(lam/nu) is read off the report, not chained
+    again: the greedy chain first raises the bead of the first row where
+    lam and nu differ by r, the q = 1 removal at the head of that bead's
+    group, and the rest of the chain is that removal's tail. So it is the
+    removal's strip sign times its tail sign when the walk kept it, and 0
+    otherwise (an occupied or negative target, or a mu not containing
+    nu); an empty skew's is the empty chain's, 1. Bead lists are encoded
+    only where they are read: lam's for a new outer shape or a group the
+    walk extends, nu's for a tail the memo lacks or a removal it builds,
+    so a call the memo answers in full encodes neither.
     """
     global _weight
     r = _integer("strip length", r, 1)
-    size = skew.size()
+    lam, nu = skew.outer, skew.inner
+    size = sum(lam) - sum(nu)
     m, rest = divmod(size, r)
     if rest:
         raise NotDivisible(f"size {size} not divisible by {r}")
+    if not m:
+        # lam is nu: the empty chain, of sign 1, and no summands
+        return SignRecursionReport(skew, r, 0, 1, ())
+    # lam contains nu, so b beads hold both
+    b = max(len(lam), 1)
+    # the first row where the shapes differ: lam has a row past nu's last
+    # when they agree on all of nu's
+    first = next(compress(count(), map(ne, lam, nu)), len(nu))
     with _lock:
         if _weight > _CAP:
             _removals.clear()
             _tails.clear()
             _weight = 0
-        lam, nu = skew.outer, skew.inner
-        # lam contains nu, so b beads hold both
-        b = max(len(lam), 1)
-        beads, inner = _beads_of(lam, b), _beads_of(nu, b)
-        if not m:
-            # an empty skew has no summands
-            return SignRecursionReport(skew, r, 0, _chain_sign(beads, inner, r), ())
+        beads = inner = None
         entry = _removals.get((lam, r))
         if entry is None:
+            beads = _beads_of(lam, b)
             # a stable sort by runner keeps each runner's positions descending
             order = sorted(range(b), key=lambda k: beads[k] % r)
             # a bead below r has no removal at all
@@ -562,6 +578,8 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 if tail is None:
                     if len(mu) < rows or not all(map(ge, mu, nu)):
                         break
+                    if inner is None:
+                        inner = _beads_of(nu, b)
                     tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
                 if tail:
                     removal = new(RecursionSummand, (mu, length, sign, tail))
@@ -572,6 +590,10 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 # every removal built so far keeps nu: build the bead's next
                 # ones, after the last, up to the first that fails nu or to q = m
                 if occupied is None:
+                    if beads is None:
+                        beads = _beads_of(lam, b)
+                    if inner is None:
+                        inner = _beads_of(nu, b)
                     occupied = set(beads)
                 i = order[k]
                 beta = beads[i]
@@ -598,5 +620,15 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     if beta < size + r:
                         groups[k] = tuple(group)
         _weight += _SLOT_BYTES * (len(tails) - signed)
-        lhs = _chain_sign(beads, inner, r)
+        # the greedy chain's first move raises bead first by r, the q = 1
+        # removal at the head of its group; the walk has signed its tail
+        # exactly when that removal keeps nu
+        lhs = 0
+        group = groups[order.index(first)]
+        if group:
+            mu, length, sign, _ = group[0]
+            if length == r:
+                tail = tails.get(mu)
+                if tail is not None:
+                    lhs = sign * tail
         return SignRecursionReport(skew, r, m, lhs, tuple(summands))

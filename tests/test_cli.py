@@ -238,6 +238,27 @@ def test_abacus_with_extra_beads(capsys):
     assert out == "0 1\nX o\nX o\nX o\n"
 
 
+def test_abacus_refuses_a_grid_past_its_cell_bound(capsys, monkeypatch):
+    # runners x (rows + 1) cells, the header included: 1 bead row of 10**6
+    # runners is 2 * 10**6 cells, refused before a byte is printed
+    assert cli.ABACUS_MAX_CELLS == 10**6
+    for runners, cells in (("1000000", 2000000), ("500001", 1000002)):
+        code, out, err = run_cli(capsys, ["abacus", "--lambda", "1", "--runners", runners])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"plethabacus: error: abacus grid of {cells} cells is over the bound of 1000000"
+        )
+    # both sides of a bound of 8: 2 runners x (3 rows + 1) prints, and one
+    # more bead row, or one more runner, is refused
+    monkeypatch.setattr(cli, "ABACUS_MAX_CELLS", 8)
+    code, out, _ = run_cli(capsys, ["abacus", "--lambda", "2,1", "--runners", "2", "--beads", "3"])
+    assert (code, out) == (0, "0 1\nX o\nX o\nX o\n")
+    for args in (["--runners", "2", "--beads", "5"], ["--runners", "3", "--beads", "3"]):
+        code, out, err = run_cli(capsys, ["abacus", "--lambda", "2,1", *args])
+        assert (code, out) == (2, "")
+        assert "cells is over the bound of 8" in err
+
+
 def test_verify_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(["verify"])
     config = cli.VerifyConfig()

@@ -557,12 +557,13 @@ def test_pairing_witness_summands_cancel():
 
 
 def test_pairing_witnesses_account_for_every_nonzero_summand():
-    # the paper's cancellation: where sgn_r(lam/nu) = 0, the nonzero
+    # the paper's cancellation: where sgn_r(lam/nu) != 0 there are exactly
+    # m nonzero summands, each equal to sgn_r; where it is 0, the nonzero
     # summands of the recursion are exactly the mu and mu_star of the
     # witnesses when one runner is type II and the rest type I, and
     # there are none for any other profile
     counts = Counter()
-    for lam in partitions_up_to(10):
+    for lam in partitions_up_to(12):
         for k in range(min(6, lam.size() - 1) + 1):
             for nu in subpartitions_of_size(lam, k):
                 for r in range(1, 6):
@@ -571,6 +572,8 @@ def test_pairing_witnesses_account_for_every_nonzero_summand():
                     report = sign_recursion_check(make_skew(lam, nu), r)
                     if report.sgn_r_value:
                         counts["decomposable"] += 1
+                        values = [s.value for s in report.summands if s.value]
+                        assert values == [report.sgn_r_value] * report.m, (lam, nu, r)
                         continue
                     nonzero = Counter(s.mu for s in report.summands if s.value)
                     a, c = abacus_of(lam), abacus_of(nu, len(lam))
@@ -591,7 +594,7 @@ def test_pairing_witnesses_account_for_every_nonzero_summand():
                     else:
                         counts["other"] += 1
                         assert not nonzero, (lam, nu, r, profile)
-    assert counts == {"decomposable": 1489, "single type II": 1672, "other": 1690}
+    assert counts == {"decomposable": 2528, "single type II": 4350, "other": 4562}
 
 
 def test_pairing_witness_json_fields():
@@ -835,6 +838,33 @@ def test_reports_match_the_golden_digest(monkeypatch):
     _empty_memo(monkeypatch)
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
+
+
+def test_left_side_is_the_greedy_sign_on_any_memo(monkeypatch):
+    # the left side is read off the q = 1 removal of the first differing
+    # bead: on acceptance 5's 7,259 skews it is sgn_r, zero or not, on an
+    # empty and a full memo, and the order-independent sign where it is
+    # not 0. That sign is also nonzero on skews that some r-strip chain
+    # tiles but the final-strip chain does not, such as (1,1)/() at r = 1
+    cases = [
+        (lam, nu, r)
+        for r in (1, 2, 3)
+        for m in range(1, 10 // r + 1)
+        for nu in partitions_up_to(4)
+        for lam in partitions_of_size_containing(r * m + nu.size(), nu)
+    ]
+    assert len(cases) == 7259
+    _empty_memo(monkeypatch)
+    for _ in range(2):
+        values = Counter()
+        for lam, nu, r in cases:
+            skew = make_skew(lam, nu)
+            value = sign_recursion_check(skew, r).sgn_r_value
+            assert value == sgn_r(skew, r), (lam, nu, r)
+            independent = order_independent_sign(lam, nu, r)
+            assert not value or value == independent, (lam, nu, r)
+            values[value, independent] += 1
+        assert values == {(0, 0): 1643, (0, 1): 4016, (0, -1): 529, (1, 1): 764, (-1, -1): 307}
 
 
 def test_concurrent_calls_leave_reports_and_memo_intact(monkeypatch):
