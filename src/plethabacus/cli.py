@@ -180,13 +180,16 @@ def cmd_sgn(args) -> int:
 
 
 def cmd_abacus(args) -> int:
-    a = abacus_of(args.lam, args.beads)
-    r = args.runners
-    rows = (max(a.bead_positions) // r + 1) if a.bead_positions else 0
+    lam, r = args.lam, args.runners
+    beads = len(lam) if args.beads is None else args.beads
+    # the top bead sits at lam_1 + beads - 1, so the grid is bounded before
+    # a bead is built; a bead count below the part count is abacus_of's error
+    rows = (lam.part(1) + beads - 1) // r + 1 if beads else 0
     # the header is one more row of the grid
     cells = r * (rows + 1)
-    if cells > ABACUS_MAX_CELLS:
+    if beads >= len(lam) and cells > ABACUS_MAX_CELLS:
         raise ValueError(f"abacus grid of {cells} cells is over the bound of {ABACUS_MAX_CELLS}")
+    a = abacus_of(lam, beads)
     w = max(len(str(r - 1)), 1)
     print(" ".join(f"{t:>{w}}" for t in range(r)))
     for row in range(rows):
@@ -224,11 +227,12 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
     # resolve the streams late so callers may swap sys.stdout/sys.stderr
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    nus = list(partitions_up_to(config.max_nu_size))
+    (r_lo, r_hi), (m_lo, m_hi) = config.r_range, config.m_range
+    # every case of a nu has degree d = r*m + |nu|, so r*m > max_degree has
+    # none, and neither has a nu larger than max_degree - r_lo*m_lo
+    nus = list(partitions_up_to(min(config.max_nu_size, config.max_degree - r_lo * m_lo)))
     failures: list[tuple[int, str]] = []  # (degree, message)
     totals = {"expansion": 0, "recursion": 0}
-    (r_lo, r_hi), (m_lo, m_hi) = config.r_range, config.m_range
-    # every case of a nu has degree d = r*m + |nu|, so r*m > max_degree has none
     for r in range(r_lo, min(r_hi, config.max_degree // m_lo) + 1):
         for m in range(m_lo, min(m_hi, config.max_degree // r) + 1):
             fits = [(r * m + nu.size(), nu) for nu in nus]

@@ -1,13 +1,3 @@
-from hypothesis import HealthCheck, settings
-
-settings.register_profile(
-    "suite",
-    deadline=None,
-    max_examples=50,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-settings.load_profile("suite")
-
 # number -> (label, "PASS" | "FAIL"), filled in by test_acceptance.py
 acceptance_log: dict = {}
 

@@ -16,16 +16,23 @@ plethystic_mn_multi and power_product_pleth through the public
 plethystic_mn, with a checked expansion per factor, and the term count
 of plethystic_mn read off the r-quotient, with no term built.
 
+The fixed case lists of the partition and abacus sweeps come from here:
+the shapes of a box of at most 7 parts, each at most 9, the small
+shapes and pairs taken exhaustively and the rest of the box as a seeded
+sample, so a test id sees the same inputs on every run.
+
 The rest are small readings of shapes and abaci that no library path
-needs, kept for the checks that use them as references: the subshapes
+needs, kept for the checks that use them as references: an expansion's
+terms as plain tuples, the subshapes
 of a given size, the first row where a skew shape's two shapes differ,
 a border strip read off its two shapes' rows, the single bead move of
 one strip removal with its height, and a move sequence applied to an
 abacus or read off a decomposition's chain.
 """
 
+import random
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement, product
 from operator import add
 from typing import Iterator, Sequence
 
@@ -48,6 +55,7 @@ from plethabacus.partitions import (
     make_skew,
     partitions_of_size,
     partitions_of_size_containing,
+    partitions_up_to,
 )
 from plethabacus.ring import _kostka, _solve_kostka
 from plethabacus.strips import (
@@ -57,6 +65,30 @@ from plethabacus.strips import (
     final_border_strip,
 )
 from plethabacus.symfunc import plethystic_mn
+
+
+def box_shapes() -> list[Partition]:
+    """The 11,440 partitions with at most 7 parts, each at most 9: the tests' shape box."""
+    return [make_partition(parts[::-1]) for parts in combinations_with_replacement(range(10), 7)]
+
+
+def shape_cases() -> list[Partition]:
+    """Every shape of the box of size <= 16 (653), then a seeded sample of 500 from the whole box."""
+    box = box_shapes()
+    return [p for p in box if p.size() <= 16] + random.Random(20261020).sample(box, 500)
+
+
+def shape_pair_cases() -> list[tuple[Partition, Partition]]:
+    """Every pair of partitions of size <= 8 (4,489), then 2,000 seeded pairs from the box."""
+    box = box_shapes()
+    rng = random.Random(20261021)
+    pairs = list(product(partitions_up_to(8), repeat=2))
+    return pairs + [(rng.choice(box), rng.choice(box)) for _ in range(2000)]
+
+
+def expansion_dict(expansion: SchurExpansion) -> dict[tuple[int, ...], int]:
+    """An expansion's terms keyed by plain part tuples, for comparison with literals."""
+    return {p.parts: c for p, c in expansion.items()}
 
 
 def partitions_by_first_part(n: int) -> Iterator[Partition]:
@@ -314,12 +346,6 @@ def ssyt_monomials(lam: Partition, n: int) -> dict:
 
     fill(0, 0, [0] * n)
     return dict(out)
-
-
-def random_partition(rng, max_size: int) -> Partition:
-    size = rng.randint(0, max_size)
-    options = list(partitions_of_size(size))
-    return options[rng.randrange(len(options))]
 
 
 def border_strips_geometric(shape: Partition, s: int) -> list[BorderStrip]:

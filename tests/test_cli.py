@@ -258,6 +258,20 @@ def test_abacus_refuses_a_grid_past_its_cell_bound(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert "cells is over the bound of 8" in err
 
+    # the bound is read off the top bead, lambda_1 + beads - 1, before a bead
+    # is built: 2 * 10**6 beads would take about 200 MB
+    def no_build(*args):
+        raise AssertionError("abacus_of ran before the cell bound")
+
+    monkeypatch.setattr(cli, "abacus_of", no_build)
+    code, out, err = run_cli(
+        capsys, ["abacus", "--lambda", "1", "--runners", "2", "--beads", "2000000"]
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "plethabacus: error: abacus grid of 2000004 cells is over the bound of 8"
+    )
+
 
 def test_verify_defaults_are_the_config_defaults():
     args = cli.build_parser().parse_args(["verify"])
@@ -317,6 +331,12 @@ def test_verify_loops_stop_at_the_degree_bound(capsys):
     # same output as the range that holds every case
     wide = run_cli(capsys, ["verify", "--r-range", "1..1000000000", "--max-degree", "5"])
     narrow = run_cli(capsys, ["verify", "--r-range", "1..5", "--max-degree", "5"])
+    assert wide == narrow
+    assert wide[0] == 0 and "PASS" in wide[1]
+    # no nu past max_degree - r*m at the least r and m has a case either:
+    # a huge size bound lists no more of them, stderr included
+    wide = run_cli(capsys, ["verify", "--max-nu-size", "1000"])
+    narrow = run_cli(capsys, ["verify", "--max-nu-size", "12"])
     assert wide == narrow
     assert wide[0] == 0 and "PASS" in wide[1]
 
@@ -492,13 +512,16 @@ def test_spaces_around_parts_are_accepted(capsys):
 )
 def test_an_integer_too_large_for_an_index_exits_2(capsys, args):
     # past sys.maxsize, so the call fails before it allocates anything;
-    # sgn at such an r still answers (test_sgn_runner_report_is_sized_by...)
+    # sgn at such an r still answers (test_sgn_runner_report_is_sized_by...).
+    # abacus meets its cell bound first: 2 runners x (5 * 10**19 + 2) rows
+    message = {
+        "expand": "cannot fit 'int' into an index-sized integer",
+        "abacus": "abacus grid of 100000000000000000004 cells is over the bound of 1000000",
+    }[args[0]]
     code, out, err = run_cli(capsys, args)
     assert (code, out) == (2, "")
     assert err.startswith("usage: plethabacus ")
-    assert err.splitlines()[-1] == (
-        "plethabacus: error: cannot fit 'int' into an index-sized integer"
-    )
+    assert err.splitlines()[-1] == f"plethabacus: error: {message}"
 
 
 def test_module_entry_point_runs():

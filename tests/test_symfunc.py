@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     bead_terms,
+    expansion_dict,
     horizontal_strip_additions,
     public_fold,
     quotient_term_count,
@@ -34,10 +35,6 @@ from plethabacus.symfunc import (
     plethystic_mn_multi,
     power_product_pleth,
 )
-
-
-def expansion_dict(expansion):
-    return {p.parts: c for p, c in expansion.items()}
 
 
 def test_expansion_drops_zero_coefficients():
