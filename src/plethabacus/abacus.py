@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, _integer
+from .partitions import Partition, _integer, _partition
 
 
 class BeadCountTooSmall(ValueError):
@@ -109,6 +109,7 @@ def _partition_of_beads(beads: Sequence[int]) -> Partition:
 
 def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
     """Abacus of a partition at a chosen bead count (defaults to the part count)."""
+    shape = _partition("shape", shape)
     bead_count = len(shape) if bead_count is None else _integer("bead_count", bead_count, None)
     if bead_count < len(shape):
         raise BeadCountTooSmall(f"{bead_count} beads < {len(shape)} parts")

@@ -224,7 +224,12 @@ class _Record:
 
 
 class SchurExpansion(_Record):
-    """Finitely supported integer combination of Schur functions of one degree."""
+    """Finitely supported integer combination of Schur functions of one degree.
+
+    The constructor checks every term: its shape is a Partition of the
+    degree and its coefficient an int, a float or a string rejected, not
+    truncated. Terms with coefficient 0 are dropped.
+    """
 
     __slots__ = _fields = ("degree", "terms")
     # the terms are a dict
@@ -232,10 +237,17 @@ class SchurExpansion(_Record):
 
     def __init__(self, degree: int, terms: dict[Partition, int] | None = None):
         degree = _integer("degree", degree, 0)
-        clean = {} if terms is None else {p: c for p, c in terms.items() if c != 0}
-        for p in clean:
-            if p.size() != degree:
-                raise ValueError(f"{p} does not have degree {degree}")
+        clean = {}
+        for p, c in (terms or {}).items():
+            p = _partition("shape", p)
+            try:
+                c = index(c)
+            except TypeError:
+                raise ValueError(f"coeff must be an integer, got {c!r}") from None
+            if c:
+                if p.size() != degree:
+                    raise ValueError(f"{p} does not have degree {degree}")
+                clean[p] = c
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
@@ -289,10 +301,7 @@ class SchurExpansion(_Record):
             p = make_partition(t["lambda"])
             if p in terms:
                 raise ValueError(f"shape {p.to_json()} is repeated")
-            try:
-                terms[p] = index(t["coeff"])
-            except TypeError:
-                raise ValueError(f"coeff must be an integer, got {t['coeff']!r}") from None
+            terms[p] = t["coeff"]
         return cls(data["degree"], terms)
 
 
@@ -316,7 +325,7 @@ def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partitio
     as the row above and the boxes inner still needs below it allow. Every
     shape built is kept, so none is filtered out.
     """
-    n = _integer("n", n, None)
+    n, inner = _integer("n", n, None), _partition("inner", inner)
     if inner.size() > n:
         return
     least = [*inner, *[1] * (n - len(inner))]

@@ -32,7 +32,7 @@ from .abacus import (
     partition_of,
     single_step_moves,
 )
-from .partitions import Box, Partition, SkewPartition, _integer, _Record
+from .partitions import Box, Partition, SkewPartition, _integer, _partition, _Record
 
 
 class EmptySkew(ValueError):
@@ -98,7 +98,7 @@ def border_strips(shape: Partition, s: int) -> list[BorderStrip]:
     list of b beads, so against it a move fails only when its target is
     negative or holds a bead.
     """
-    s = _integer("strip length", s, 1)
+    shape, s = _partition("shape", shape), _integer("strip length", s, 1)
     b = len(shape)
     beads, packed = _beads_of(shape, b), _beads_of((), b)
     strips = (_bead_strip(shape, beads.copy(), i, s, packed) for i in range(b))
@@ -204,6 +204,7 @@ def order_independent_sign(lam: Partition, nu: Partition, r: int) -> int:
     which is when single_step_moves finds a move sequence; the sign is
     then the inversion sign of that sequence.
     """
+    lam, nu = _partition("lam", lam), _partition("nu", nu)
     r = _integer("strip length", r, 1)
     if not lam.contains(nu) or (lam.size() - nu.size()) % r != 0:
         return 0
@@ -458,29 +459,36 @@ class SignRecursionReport(_Record):
         return sum(s.value for s in self.summands)
 
 
-# The memo of sign_recursion_check: two tables under one budget.
+# The memo of sign_recursion_check: three tables under one budget.
 # _removals[(lam, r)] = (groups, order), where groups[k], in report order,
 # holds the removals built so far of the bead at index order[k] of lam's
 # descending bead list, in ascending q, and is a tuple once it holds them
 # all. Each removal is stored as its zero-tail summand
 # RecursionSummand(mu, q*r, strip sign, 0), the very object a report holds
 # where sgn_r(mu/nu) is 0. _tails[(nu, r)] maps every mu signed so far
-# to sgn_r(mu/nu). _weight counts the bytes of both tables, set high:
-# _GROUP_BYTES * (b + 4) for a shape of b beads or rows (its lists or dict,
-# key and slot come to at most 4 groups' worth), _PART_BYTES * (len(mu) + 5)
-# per removal, a part being a slot and an int object (the summand, mu's
-# header and the group's slot fit in the 5), and _SLOT_BYTES per
-# tail, whose mu is a removal's. A call that finds _weight past _CAP empties
-# both tables first, so the memo holds at most _CAP plus the last call's
-# own shapes, removals and tails. A call holds _lock from the clear to its
-# last weight update, so concurrent calls extend no group twice and lose
-# no weight.
+# to sgn_r(mu/nu). _shared maps each value to the one object the memo and
+# the reports hold for it: every removal's mu and summand, and every
+# nonzero-tail summand of a report, so a shape or summand that many outer
+# shapes meet is one object. _weight counts the bytes of the tables, set
+# high: _GROUP_BYTES * (b + 4) for a shape of b beads or rows (its lists or
+# dict, key and slot come to at most 4 groups' worth), _PART_BYTES *
+# (len(mu) + 5) per removal, a part being a slot and an int object (the
+# summand, mu's header, the group's slot and the two _shared slots fit in
+# the 5), whether or not its mu and summand are shared, _SLOT_BYTES per
+# tail, whose mu is a removal's, and _SUMMAND_BYTES per nonzero-tail summand
+# in _shared (its 80-byte block and a slot). A call that finds _weight past
+# _CAP empties all three tables first, so the memo holds at most _CAP plus
+# the last call's own shapes, removals, tails and summands. A call holds
+# _lock from the clear to its last weight update, so concurrent calls
+# extend no group twice and lose no weight.
 _CAP = 8 << 20
 _GROUP_BYTES = 104
 _PART_BYTES = 40
 _SLOT_BYTES = 64
+_SUMMAND_BYTES = 80 + _SLOT_BYTES
 _removals: dict[tuple[Partition, int], tuple[list, list[int]]] = {}
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
+_shared: dict = {}
 _weight = 0
 _lock = threading.Lock()
 
@@ -508,7 +516,10 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     keeps them per outer shape and every inner shape walks the same
     groups. A removal is stored as its summand with tail sign 0, and a
     report holds that object wherever the tail sign is 0, as it is for most
-    summands; only a nonzero tail gets a summand of its own. Only a walk
+    summands. Each mu and summand the memo or a report holds is the one
+    object _shared keeps for its value, whatever outer shape met it, so a
+    summand with a nonzero tail is kept only the first time its value
+    turns up, and a report holds that object thereafter. Only a walk
     that passes every stored removal of an unfinished group builds more:
     one _raise_bead move against nu's bead list per free target, resuming
     after the last stored strip, up to the first that fails nu or to
@@ -550,6 +561,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         if _weight > _CAP:
             _removals.clear()
             _tails.clear()
+            _shared.clear()
             _weight = 0
         beads = inner = None
         entry = _removals.get((lam, r))
@@ -569,6 +581,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         rows = len(nu)
         summands = []
         new = tuple.__new__  # a RecursionSummand, with no Python-level call
+        intern = _shared.setdefault
         occupied = None
         for k, group in enumerate(groups):
             length = 0
@@ -605,8 +618,10 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     if height is None:
                         break
                     mu = _partition_of_beads(moved)
+                    mu = intern(mu, mu)
                     length, sign = beta - target, -1 if height & 1 else 1
                     removal = new(RecursionSummand, (mu, length, sign, 0))
+                    removal = intern(removal, removal)
                     group.append(removal)
                     _weight += _PART_BYTES * (len(mu) + 5)
                     tail = tails.get(mu)
@@ -620,6 +635,11 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     if beta < size + r:
                         groups[k] = tuple(group)
         _weight += _SLOT_BYTES * (len(tails) - signed)
+        # a report holds the value table's object for each nonzero-tail
+        # summand, the first one built for that value
+        held = len(_shared)
+        summands = tuple([intern(s, s) if s[3] else s for s in summands])
+        _weight += _SUMMAND_BYTES * (len(_shared) - held)
         # the greedy chain's first move raises bead first by r, the q = 1
         # removal at the head of its group; the walk has signed its tail
         # exactly when that removal keeps nu
@@ -631,4 +651,4 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 tail = tails.get(mu)
                 if tail is not None:
                     lhs = sign * tail
-        return SignRecursionReport(skew, r, m, lhs, tuple(summands))
+        return SignRecursionReport(skew, r, m, lhs, summands)

@@ -726,6 +726,7 @@ def test_sign_recursion_walks_only_runners_holding_a_bead():
 def _empty_memo(monkeypatch):
     monkeypatch.setattr(strips_module, "_removals", {})
     monkeypatch.setattr(strips_module, "_tails", {})
+    monkeypatch.setattr(strips_module, "_shared", {})
     monkeypatch.setattr(strips_module, "_weight", 0)
 
 
@@ -754,9 +755,17 @@ def _tail_weight(skip=None):
     )
 
 
+def _summand_weight():
+    # the weight of the nonzero-tail summands in the value table; its
+    # shapes and zero-tail summands are counted with their removals
+    return strips_module._SUMMAND_BYTES * sum(
+        type(v) is RecursionSummand and v.tail_sign != 0 for v in strips_module._shared
+    )
+
+
 def _memo_weight():
-    # the weight of both tables, recounted from what they hold
-    return _removal_weight() + _tail_weight()
+    # the weight of the three tables, recounted from what they hold
+    return _removal_weight() + _tail_weight() + _summand_weight()
 
 
 def _tails_are_removals():
@@ -840,12 +849,8 @@ def test_reports_match_the_golden_digest(monkeypatch):
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
 
 
-def test_left_side_is_the_greedy_sign_on_any_memo(monkeypatch):
-    # the left side is read off the q = 1 removal of the first differing
-    # bead: on acceptance 5's 7,259 skews it is sgn_r, zero or not, on an
-    # empty and a full memo, and the order-independent sign where it is
-    # not 0. That sign is also nonzero on skews that some r-strip chain
-    # tiles but the final-strip chain does not, such as (1,1)/() at r = 1
+def _acceptance_5_cases():
+    # acceptance 5's skews: r <= 3, 1 <= m <= 10 // r, |nu| <= 4
     cases = [
         (lam, nu, r)
         for r in (1, 2, 3)
@@ -854,6 +859,16 @@ def test_left_side_is_the_greedy_sign_on_any_memo(monkeypatch):
         for lam in partitions_of_size_containing(r * m + nu.size(), nu)
     ]
     assert len(cases) == 7259
+    return cases
+
+
+def test_left_side_is_the_greedy_sign_on_any_memo(monkeypatch):
+    # the left side is read off the q = 1 removal of the first differing
+    # bead: on acceptance 5's 7,259 skews it is sgn_r, zero or not, on an
+    # empty and a full memo, and the order-independent sign where it is
+    # not 0. That sign is also nonzero on skews that some r-strip chain
+    # tiles but the final-strip chain does not, such as (1,1)/() at r = 1
+    cases = _acceptance_5_cases()
     _empty_memo(monkeypatch)
     for _ in range(2):
         values = Counter()
@@ -896,18 +911,21 @@ def test_concurrent_calls_leave_reports_and_memo_intact(monkeypatch):
             after = sweep()
             wrong = [sum(map(str.__ne__, got, want)) for got in (*during, after)]
             assert wrong == [0] * 5
+            assert _memo_weight() == strips_module._weight
     finally:
         sys.setswitchinterval(interval)
 
 
 def _own_weight(report):
     # the most one call adds: its outer shape's groups, its inner shape's
-    # dict, and a removal and a tail per summand
+    # dict, a removal and a tail per summand, and a shared summand per
+    # nonzero tail
     lam, nu = report.skew.outer, report.skew.inner
     return (
         strips_module._GROUP_BYTES * (max(len(lam), 1) + 4 + len(nu) + 4)
         + sum(strips_module._PART_BYTES * (len(s.mu) + 5) for s in report.summands)
         + strips_module._SLOT_BYTES * len(report.summands)
+        + strips_module._SUMMAND_BYTES * sum(s.tail_sign != 0 for s in report.summands)
     )
 
 
@@ -1058,6 +1076,34 @@ def test_zero_tail_summands_are_the_memo_removals(monkeypatch):
         assert zero == 944
 
 
+def test_memo_and_reports_hold_one_object_per_value(monkeypatch):
+    # on acceptance 5's skews from an empty memo, the stored removals hold
+    # one mu object per distinct shape and are one object per distinct
+    # removal, and the reports hold one summand object per distinct
+    # summand, zero tail or not (ids of live objects are distinct, so an
+    # id match is an `is` match)
+    _empty_memo(monkeypatch)
+    reports = [sign_recursion_check(make_skew(lam, nu), r) for lam, nu, r in _acceptance_5_cases()]
+    stored = _stored_removals()
+    mus = [e.mu for e in stored]
+    assert len(stored) == 9196
+    assert len({id(mu) for mu in mus}) == len(set(mus)) == 373
+    assert len({id(e) for e in stored}) == len(set(stored)) == 2125
+    summands = [s for report in reports for s in report.summands]
+    assert len(summands) == 44476
+    assert len({id(s) for s in summands}) == len(set(summands)) == 3677
+    assert {id(s.mu) for s in summands} == {id(mu) for mu in mus}
+    # each nonzero-tail summand is the value table's, counted once and high
+    nonzero = {id(s): s for s in summands if s.tail_sign}.values()
+    assert len(nonzero) == 1802
+    assert all(strips_module._shared[s] is s for s in nonzero)
+    assert all(
+        sys.getsizeof(s) + strips_module._SLOT_BYTES <= strips_module._SUMMAND_BYTES
+        for s in nonzero
+    )
+    assert _memo_weight() == strips_module._weight
+
+
 def test_memo_weight_counts_each_stored_removal_high(monkeypatch):
     # a removal's summand, its mu and its slot in the group weigh no more
     # than the count the memo adds for it
@@ -1107,6 +1153,7 @@ def test_memo_stays_near_its_cap_on_many_row_skews(monkeypatch):
         full = tracemalloc.get_traced_memory()[0]
         strips_module._removals.clear()
         strips_module._tails.clear()
+        strips_module._shared.clear()
         gc.collect()
         held = full - tracemalloc.get_traced_memory()[0]
     finally:

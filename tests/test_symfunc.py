@@ -26,8 +26,8 @@ from plethabacus.partitions import (
     partitions_up_to,
 )
 from plethabacus import symfunc
-from plethabacus.abacus import _beads_of
-from plethabacus.strips import _chain_sign, r_decompose
+from plethabacus.abacus import _beads_of, abacus_of
+from plethabacus.strips import _chain_sign, border_strips, order_independent_sign, r_decompose
 from plethabacus.symfunc import (
     SchurExpansion,
     mn_multiply,
@@ -320,6 +320,42 @@ def test_a_nu_that_is_not_a_partition_is_rejected_by_name(call, nu):
     message = r"^nu must be a Partition, got .*; build it with make_partition$"
     with pytest.raises(InvalidPartition, match=message):
         call(nu)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), [2, 1], (2, 1)], ids=["unsorted", "list", "tuple"])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("shape", lambda p: abacus_of(p, 2)),
+        ("shape", lambda p: border_strips(p, 1)),
+        ("lam", lambda p: order_independent_sign(p, make_partition([]), 1)),
+        ("nu", lambda p: order_independent_sign(make_partition([3]), p, 1)),
+        ("inner", lambda p: list(partitions_of_size_containing(4, p))),
+    ],
+    ids=["abacus_of", "border_strips", "order_independent_sign-lam",
+         "order_independent_sign-nu", "partitions_of_size_containing"],
+)
+def test_a_shape_that_is_not_a_partition_is_rejected_by_name(name, call, shape):
+    message = rf"^{name} must be a Partition, got .*; build it with make_partition$"
+    with pytest.raises(InvalidPartition, match=message):
+        call(shape)
+
+
+def test_expansion_constructor_checks_every_term():
+    two = make_partition([2])
+    for coeff in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=r"^coeff must be an integer, got "):
+            SchurExpansion(2, {two: coeff})
+    with pytest.raises(InvalidPartition, match=r"^shape must be a Partition, got \(2,\); "):
+        SchurExpansion(2, {(2,): 1})
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    # a coefficient is stored as the int it stands for, and 0 is dropped
+    e = SchurExpansion(2, {two: Two(), make_partition([1, 1]): False})
+    assert e.terms == {two: 2} and type(e.terms[two]) is int
 
 
 def test_plethystic_mn_signs_equal_greedy_kernel():
