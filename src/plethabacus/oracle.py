@@ -2,9 +2,10 @@
 
 oracle_plethystic_mn reads each Schur coefficient of s_nu * (p_r o h_m)
 as one determinant (the bialternant formula), in Python ints, so it is
-exact at any degree and builds no polynomial. It visits only the shapes
-whose matrix can be nonzero, and takes the determinant as a product of
-residue blocks.
+exact at any degree and builds no polynomial. The matrix is block
+diagonal by residue mod r: each block's nonsingular row sets are listed
+once, with their determinants, and every shape is one choice of row set
+per block.
 
 The dense polynomial ring lives in `ring`, which imports numpy. This
 module forwards its public names, loading it on first access; the
@@ -62,111 +63,96 @@ def _det(a: list[list[int]]) -> int:
     return sign * a[-1][-1] if n else 1
 
 
-def _residue_shapes(nu: Partition, r: int, degree: int) -> list[tuple]:
-    """The shapes lam of the degree whose bialternant matrix can be nonzero.
+def _raises(block: list[int], e: list[int], r: int, m: int) -> list[list[tuple]]:
+    """The row sets of one residue block with a nonzero determinant, by steps of r.
 
-    Row i of the matrix (from 0) holds d_i = lam_i - i and column j holds
-    e_j = nu_j - j; an entry is nonzero only where d_i = e_j mod r. Both
-    shapes are padded with zero parts to L = degree rows, which bounds
-    len(lam) and leaves the determinant unchanged (the added block is
-    unitriangular). lam is built row by row, and a row is allowed only if
-    its residue is still free among the columns and lam_i >= nu_i: a row
-    with lam_i < nu_i makes rows i.. vanish in columns ..i, a zero block
-    that makes the matrix singular.
+    block lists the block's columns j in order, and e[j] = nu_j - j. A
+    row set gives each column's row a value e[j] + s*r with s >= 0, the
+    values strictly descending as the columns' are: these are the row
+    sets that dominate the columns entrywise, as every other one is
+    singular (a row below its column meets the columns from it leftwards
+    in zeros, as do all rows under it). Entry k of the result lists, as
+    (moves, det), the row sets whose steps s add up to k (k = 1..m), with
+    the (j, value) of each row that moved in block order.
 
-    The rows still to come must take exactly the free residues. Their
-    values d_j are distinct and at least 1 - L, so the least size they
-    can add up to is that of the lowest such values on each residue, and
-    a row is placed only if the degree left covers it. A branch that uses
-    up the degree has thereby left its zero rows exactly the free
-    residues, and it ends there.
+    det is taken by _det over the moved rows only, [value >= e[j']] for
+    j' the moved columns. An unmoved row equals its column, so the rows
+    under it are zero in the columns up to it, and the block splits into
+    a block-triangular product whose factor at that row is 1.
 
-    Returns (parts, inversions, blocks) for each shape: inversions counts
-    the pairs of rows that a stable sort into residue order swaps, and
-    blocks[t] lists the d_i of residue t in row order.
+    The row sets are built on an explicit stack, one moved row per step,
+    so no recursion deepens with the row count. A state is (the first
+    row that may move next, the steps left, the bound above that row's
+    value, the moves so far); the rows passed over stay unmoved.
     """
-    rows = degree
-    nu_p = nu + (0,) * (rows - len(nu))
-    tail = [sum(nu_p[i + 1 :]) for i in range(rows)]
-    free = [0] * r
-    for j, p in enumerate(nu_p):
-        free[(p - j) % r] += 1
-    blocks: list[list[int]] = [[] for _ in range(r)]
-    # with d shifted by L - 1 to start at 0: the lowest value of each
-    # residue, and the least sum of values that the free residues take
-    lowest = [(t + rows - 1) % r for t in range(r)]
-    least = sum(f * b + r * f * (f - 1) // 2 for f, b in zip(free, lowest))
-    parts: list[int] = []
-    out = []
-
-    def place(i: int, remaining: int, cap: int, inversions: int, least: int) -> None:
-        if remaining == 0:
-            out.append((tuple(parts), inversions, [b[:] for b in blocks]))
-            return
-        # the shifted values of rows i+1.. sum to this when their parts are all 0
-        zero = (rows - i - 1) * (rows - i - 2) // 2
-        for p in range(min(cap, remaining - tail[i]), max(nu_p[i], 1) - 1, -1):
-            t = (p - i) % r
-            f = free[t]
-            if not f:
-                continue
-            rest = least - lowest[t] - r * (f - 1)  # once row i takes residue t
-            if rest - zero > remaining - p:  # the rows below cannot be this small
-                continue
-            # each earlier row of a larger residue is one inversion
-            above = sum(map(len, blocks[t + 1 :]))
-            free[t] = f - 1
-            parts.append(p)
-            blocks[t].append(p - i)
-            place(i + 1, remaining - p, p, inversions + above, rest)
-            blocks[t].pop()
-            parts.pop()
-            free[t] = f
-
-    place(0, degree, degree, 0, least)
-    return out
+    table: list[list[tuple]] = [[] for _ in range(m + 1)]
+    stack = [(0, m, e[block[0]] + r * m + 1, ())]  # the top row is bounded by the steps
+    while stack:
+        a, budget, cap, moves = stack.pop()
+        if moves:
+            det = _det([[int(v >= e[j]) for j, _ in moves] for _, v in moves])
+            if det:
+                table[m - budget].append((moves, det))
+        for b in range(a, len(block)):
+            j = block[b]
+            top = cap if b == a else e[block[b - 1]]
+            for v in range(e[j] + r, min(top, e[j] + r * budget + 1), r):
+                stack.append((b + 1, budget - (v - e[j]) // r, v, moves + ((j, v),)))
+    return table
 
 
 def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
-    """Ground truth for plethystic_mn, one determinant per shape.
+    """Ground truth for plethystic_mn, one determinant per residue block.
 
     By the bialternant formula a_delta * s_nu = a_{nu + delta}, the
     coefficient of s_lam in s_nu * h_m(x^r) is the coefficient of
     x^{lam + delta} in a_{nu + delta} * h_m(x^r): the determinant of the
     0/1 matrix whose entry (i, j) is 1 when (lam_i - i) - (nu_j - j) is a
-    nonnegative multiple of r, for i, j <= max(len(lam), len(nu)). This
-    is the alternating sum whose cancellations the combinatorial rule
-    explains.
+    nonnegative multiple of r. It is taken over L = len(nu) + r*m rows
+    and columns, since no lam is longer (more would add a unitriangular
+    block). This is the alternating sum whose cancellations the
+    combinatorial rule explains.
 
-    Only the shapes of _residue_shapes are visited. A row and a column of
-    different residues meet in a zero, so after sorting both into residue
-    order the matrix is block diagonal: its determinant is the product of
-    the blocks' determinants, each taken by _det, times the signs of the
-    two sorts. It is exact in Python ints at every degree.
+    A row and a column of different residues meet in a zero, so after
+    sorting both into residue order the matrix is block diagonal, and
+    the row set of one block can be chosen without looking at the
+    others. _raises lists each block's row sets once, with their
+    determinants; a lam is one row set per block whose steps add up to
+    m, chosen on an explicit stack, and its coefficient is the product
+    of their determinants times the signs of the two residue sorts.
+
+    Those two signs together are the sign of sorting the rows, taken in
+    the order of the columns they pair with, into descending order (the
+    order of lam): the residue sorts map both orders to one. The
+    unmoved rows keep their columns' descending values, so the sort's
+    inversions are the rows before a moved row that it now exceeds.
+    Exact in Python ints at every degree.
     """
     nu = _partition("nu", nu)
     r, m = _integer("r", r, 1), _integer("m", m, 0)
-    degree = r * m + nu.size()
-    # every difference (lam_i - i) - (nu_j - j) is below 2 * degree, so a
-    # larger r gives the same matrix (and r > degree only when m == 0)
-    r = min(r, 2 * degree + 1)
-    # the column values of each residue in order, and the inversions of
-    # sorting the first k columns into residue order
-    columns: list[list[int]] = [[] for _ in range(r)]
-    column_inversions = [0]
-    for j, p in enumerate(nu + (0,) * (degree - len(nu))):
-        t = (p - j) % r
-        column_inversions.append(column_inversions[-1] + sum(map(len, columns[t + 1 :])))
-        columns[t].append(p - j)
+    e = [p - j for j, p in enumerate(nu + (0,) * (r * m))]
+    blocks: dict[int, list[int]] = {}
+    for j, v in enumerate(e):
+        blocks.setdefault(v % r, []).append(j)
+    tables = [_raises(block, e, r, m) for block in blocks.values()]
     terms = {}
-    for parts, inversions, blocks in _residue_shapes(nu, r, degree):
-        det = -1 if (inversions + column_inversions[len(parts)]) % 2 else 1
-        # the first len(parts) columns hold as many of each residue as the rows
-        for rows, cols in zip(blocks, columns):
-            if rows:
-                det *= _det([[int(d >= e) for e in cols[: len(rows)]] for d in rows])
-                if not det:
-                    break
-        if det:
-            terms[Partition._trusted(parts)] = det
-    return SchurExpansion(degree, terms)
+    stack = [(0, m, (), 1)]  # (the next block that may move, steps left, moves, product)
+    while stack:
+        i, budget, moves, coefficient = stack.pop()
+        if budget:
+            for i2 in range(i, len(tables)):
+                table = tables[i2]
+                for k in range(1, budget + 1):
+                    for more, det in table[k]:
+                        stack.append((i2 + 1, budget - k, moves + more, coefficient * det))
+            continue
+        # the rows past nu and past the last moved one keep e_j = -j, below
+        # every row before them: parts 0, and no inversion
+        rows = e[: max(len(nu), 1 + max((j for j, _ in moves), default=-1))]
+        for j, v in moves:
+            rows[j] = v
+        if sum(sum(map(v.__gt__, rows[:j])) for j, v in moves) % 2:
+            coefficient = -coefficient
+        rows.sort(reverse=True)
+        terms[Partition._trusted(map(int.__add__, rows, range(len(rows))))] = coefficient
+    return SchurExpansion(r * m + nu.size(), terms)

@@ -311,9 +311,9 @@ def partitions_of_size(n: int) -> Iterator[Partition]:
 
 
 def partitions_up_to(n: int) -> Iterator[Partition]:
-    """All partitions of every size from 0 through n."""
-    for k in range(_integer("n", n, None) + 1):
-        yield from partitions_of_size(k)
+    """All partitions of every size from 0 through n; n is checked at the call."""
+    n = _integer("n", n, None)
+    return (p for k in range(n + 1) for p in partitions_of_size(k))
 
 
 def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partition]:
@@ -323,9 +323,14 @@ def partitions_of_size_containing(n: int, inner: Partition) -> Iterator[Partitio
     (inner's part on inner's rows, 1 below them): the lowest row that can
     lose a box loses one, and the rows below it are refilled, each as long
     as the row above and the boxes inner still needs below it allow. Every
-    shape built is kept, so none is filtered out.
+    shape built is kept, so none is filtered out. The arguments are
+    checked at the call, not at the first shape.
     """
-    n, inner = _integer("n", n, None), _partition("inner", inner)
+    return _containing(_integer("n", n, None), _partition("inner", inner))
+
+
+def _containing(n: int, inner: Partition) -> Iterator[Partition]:
+    """The walk of partitions_of_size_containing, on checked arguments."""
     if inner.size() > n:
         return
     least = [*inner, *[1] * (n - len(inner))]

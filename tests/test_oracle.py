@@ -17,7 +17,7 @@ from oracles import (
     kostka_plethystic_mn,
     ssyt_monomials,
 )
-from plethabacus.oracle import RING_NAMES, _det, _residue_shapes, oracle_plethystic_mn
+from plethabacus.oracle import RING_NAMES, _det, _raises, oracle_plethystic_mn
 from plethabacus.partitions import make_partition, partitions_of_size, partitions_up_to
 from plethabacus.ring import (
     MultivariatePolynomial,
@@ -242,30 +242,6 @@ def test_bareiss_determinant_equals_leibniz_sum():
         assert _det([row[:] for row in a]) == want, a
 
 
-def test_residue_prefilter_skips_only_singular_matrices():
-    # acceptance 4's range, plus a case where most shapes are skipped
-    cases = [
-        (nu, r, m)
-        for nu in partitions_up_to(4)
-        for r in (1, 2, 3)
-        for m in (1, 2, 3)
-        if r * m + nu.size() <= 12
-    ]
-    cases.append((make_partition([4, 3, 2, 1]), 2, 10))
-    skipped = 0
-    for nu, r, m in cases:
-        for lam in partitions_of_size(r * m + nu.size()):
-            if bialternant_matrix(lam, nu, r) is not None:
-                continue
-            skipped += 1
-            rows = max(len(lam), len(nu))
-            lam_d = [lam.part(i) - i for i in range(1, rows + 1)]
-            nu_d = [nu.part(j) - j for j in range(1, rows + 1)]
-            full = [[int(d >= e and (d - e) % r == 0) for e in nu_d] for d in lam_d]
-            assert _det(full) == 0, (lam, nu, r, m)
-    assert skipped == 5668  # of 7449 shapes; 5123 of 5604 at degree 30
-
-
 def acceptance_4_and_12_cases():
     cases = [
         (nu, r, m)
@@ -285,36 +261,123 @@ def acceptance_4_and_12_cases():
     return cases
 
 
-def test_residue_shapes_are_the_prefiltered_shapes_containing_nu():
+def residue_blocks(nu, r, m):
+    """The oracle's column values nu_j - j over len(nu) + r*m columns, and the columns of each residue."""
+    e = [p - j for j, p in enumerate(nu.parts + (0,) * (r * m))]
+    blocks = {}
+    for j, v in enumerate(e):
+        blocks.setdefault(v % r, []).append(j)
+    return e, blocks
+
+
+def block_row_sets(e, blocks, r, m):
+    """{residue: {the block's full row values: (steps, det)}} for the raises _raises keeps."""
+    kept = {}
+    for t, block in blocks.items():
+        kept[t] = {}
+        for k, raises in enumerate(_raises(block, e, r, m)):
+            for moves, det in raises:
+                moved = dict(moves)
+                kept[t][tuple(moved.get(j, e[j]) for j in block)] = (k, det)
+    return kept
+
+
+def block_det(rows, cols):
+    return _det([[int(d >= c) for c in cols] for d in rows])
+
+
+def test_residue_prefilter_skips_only_singular_matrices():
+    # every shape of the degree: the oracle builds exactly the nonsingular
+    # ones, with the full determinant as coefficient, and each row set of a
+    # block that it skips (not dominating its columns) or drops (zero
+    # determinant) makes the full matrix singular
     cases = acceptance_4_and_12_cases()
     assert len(cases) == 103 + 15
-    shapes = uncontained = 0
+    counts = dict.fromkeys(
+        ["built", "residues", "longer", "singular", "skipped", "beyond", "dropped"], 0
+    )
     for nu, r, m in cases:
         degree = r * m + nu.size()
-        want = set()
+        got = oracle_plethystic_mn(nu, r, m).terms
+        e, blocks = residue_blocks(nu, r, m)
+        kept = block_row_sets(e, blocks, r, m)
+        built = 0
         for lam in partitions_of_size(degree):
             matrix = bialternant_matrix(lam, nu, r)
-            if matrix is None:
+            full = 0 if matrix is None else _det(matrix)
+            if len(lam) > len(e):
+                counts["longer"] += 1
+                assert full == 0 and lam not in got, (lam, nu, r, m)
                 continue
-            if lam.contains(nu):
-                want.add(lam.parts)
+            d = [p - i for i, p in enumerate(lam.parts + (0,) * (len(e) - len(lam)))]
+            row_sets = {t: [x for x in d if x % r == t] for t in blocks}
+            if any(len(row_sets[t]) != len(block) for t, block in blocks.items()):
+                counts["residues"] += 1
+                assert matrix is None and lam not in got, (lam, nu, r, m)
+                continue
+            reasons = set()
+            for t, block in blocks.items():
+                rows, cols = tuple(row_sets[t]), [e[j] for j in block]
+                if list(rows) == cols:
+                    continue
+                if rows in kept[t]:
+                    steps = (sum(rows) - sum(cols)) // r
+                    assert kept[t][rows] == (steps, block_det(rows, cols)), (lam, nu, r, t)
+                elif not all(map(int.__ge__, rows, cols)):
+                    reasons.add("skipped")
+                elif sum(rows) - sum(cols) > r * m:
+                    reasons.add("beyond")
+                else:
+                    reasons.add("dropped")
+                    assert block_det(rows, cols) == 0, (lam, nu, r, t)
+            # the blocks' steps add up to m, so one beyond it leaves another short
+            assert "beyond" not in reasons or "skipped" in reasons, (lam, nu, r, m)
+            for reason in reasons:
+                counts[reason] += 1
+            if reasons:
+                counts["singular"] += 1
+                assert full == 0 and lam not in got, (lam, nu, r, m)
             else:
-                # rows i.. vanish in columns ..i where lam_i < nu_i
-                uncontained += 1
-                assert _det(matrix) == 0, (lam, nu, r, m)
-        got = _residue_shapes(nu, r, degree)
-        assert sorted(parts for parts, _, _ in got) == sorted(want), (nu, r, m)
-        for parts, inversions, blocks in got:
-            residues = [(p - i) % r for i, p in enumerate(parts)]
-            assert inversions == sum(
-                a > b for i, a in enumerate(residues) for b in residues[i + 1 :]
-            ), (parts, nu, r)
-            assert blocks == [
-                [p - i for i, p in enumerate(parts) if (p - i) % r == t] for t in range(r)
-            ], (parts, nu, r)
-        shapes += len(got)
-    # 16228 shapes; 309 more pass the residue test but do not contain nu
-    assert (shapes, uncontained) == (16228, 309)
+                built += 1
+                assert full != 0 and got[lam] == full, (lam, nu, r, m)
+        assert built == len(got), (nu, r, m)
+        counts["built"] += built
+    # 54195 shapes: 1651 built, 37611 with unequal residue counts, 134
+    # longer than len(nu) + r*m rows, 14799 holding a skipped or dropped
+    # block (some both)
+    assert counts == {
+        "built": 1651,
+        "residues": 37611,
+        "longer": 134,
+        "singular": 14799,
+        "skipped": 403,
+        "beyond": 218,
+        "dropped": 14445,
+    }
+
+
+def test_block_raises_are_the_nonsingular_dominating_row_sets():
+    # each kept raise moves rows of its block by positive multiples of r,
+    # keeps them strictly descending, adds k steps in all, and its
+    # determinant over the moved rows is that of the whole block, nonzero
+    cases = acceptance_4_and_12_cases()
+    raises = 0
+    for nu, r, m in cases:
+        e, blocks = residue_blocks(nu, r, m)
+        for t, block in blocks.items():
+            cols = [e[j] for j in block]
+            for k, entries in enumerate(_raises(block, e, r, m)):
+                assert k or not entries
+                for moves, det in entries:
+                    moved = dict(moves)
+                    assert len(moved) == len(moves) and set(moved) <= set(block)
+                    rows = [moved.get(j, e[j]) for j in block]
+                    assert all(map(int.__gt__, rows, rows[1:])), (nu, r, t, moves)
+                    assert all(v > e[j] and (v - e[j]) % r == 0 for j, v in moves)
+                    assert sum(map(int.__sub__, rows, cols)) == k * r, (nu, r, t, moves)
+                    assert det != 0 and det == block_det(rows, cols), (nu, r, t, moves)
+                    raises += 1
+    assert raises == 971
 
 
 @pytest.mark.parametrize(
@@ -417,6 +480,24 @@ def test_oracle_agrees_with_plethystic_mn_at_degrees_13_to_15(nu, r, m):
     want = plethystic_mn(nu, r, m)
     assert oracle_plethystic_mn(nu, r, m) == want
     assert kostka_plethystic_mn(nu, r, m) == want
+
+
+@pytest.mark.parametrize("nu, r, m", [((), 4, 10), ((3, 1), 6, 9), ((), 6, 10)])
+def test_oracle_agrees_with_plethystic_mn_at_degrees_40_to_60(nu, r, m):
+    # 286, 2002 and 3003 terms; about 0.01-0.03 s each on a 2-CPU host
+    nu = make_partition(nu)
+    assert 40 <= nu.size() + r * m <= 60
+    assert oracle_plethystic_mn(nu, r, m) == plethystic_mn(nu, r, m)
+
+
+@pytest.mark.parametrize("nu, r, m", [((1,) * 1200, 2, 1), ((), 1000, 1)])
+def test_oracle_depth_does_not_grow_with_the_rows(nu, r, m):
+    # 1202 and 1000 rows, past the default recursion limit; 3 terms in
+    # about 2 ms, and 1000 hooks in about 0.1 s
+    nu = make_partition(nu)
+    got = oracle_plethystic_mn(nu, r, m)
+    assert got == plethystic_mn(nu, r, m)
+    assert len(got.terms) == (3 if nu else 1000)
 
 
 def imported_names(nodes) -> set[str]:

@@ -190,13 +190,14 @@ def test_partitions_of_size_containing_matches_filter():
 
 @pytest.mark.parametrize("n", [2.5, "3", None])
 def test_partition_enumerators_reject_a_size_that_is_not_an_integer(n):
-    for shapes in (
-        partitions_of_size(n),
-        partitions_up_to(n),
-        partitions_of_size_containing(n, make_partition([1])),
+    # at the call, before any shape is asked for
+    for call in (
+        partitions_of_size,
+        partitions_up_to,
+        lambda n: partitions_of_size_containing(n, make_partition([1])),
     ):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
-            list(shapes)
+            call(n)
 
 
 def test_partition_enumerators_yield_int_parts_for_a_bool_size():

@@ -330,7 +330,7 @@ def test_a_nu_that_is_not_a_partition_is_rejected_by_name(call, nu):
         ("shape", lambda p: border_strips(p, 1)),
         ("lam", lambda p: order_independent_sign(p, make_partition([]), 1)),
         ("nu", lambda p: order_independent_sign(make_partition([3]), p, 1)),
-        ("inner", lambda p: list(partitions_of_size_containing(4, p))),
+        ("inner", lambda p: partitions_of_size_containing(4, p)),
     ],
     ids=["abacus_of", "border_strips", "order_independent_sign-lam",
          "order_independent_sign-nu", "partitions_of_size_containing"],
