@@ -2,10 +2,11 @@
 
 oracle_plethystic_mn reads each Schur coefficient of s_nu * (p_r o h_m)
 as one determinant (the bialternant formula), in Python ints, so it is
-exact at any degree and builds no polynomial. The matrix is block
-diagonal by residue mod r: each block's nonsingular row sets are listed
-once, with their determinants, and every shape is one choice of row set
-per block.
+exact at any degree and builds no polynomial. The matrix has
+len(nu) + r rows (len(nu) when m = 0), as no shape in s_nu * (p_r o h_m)
+is longer, and is block diagonal by residue mod r: each block's
+nonsingular row sets are listed once, with their determinants, and
+every shape is one choice of row set per block.
 
 The dense polynomial ring lives in `ring`, which imports numpy. This
 module forwards its public names, loading it on first access; the
@@ -78,7 +79,9 @@ def _raises(block: list[int], e: list[int], r: int, m: int) -> list[list[tuple]]
     det is taken by _det over the moved rows only, [value >= e[j']] for
     j' the moved columns. An unmoved row equals its column, so the rows
     under it are zero in the columns up to it, and the block splits into
-    a block-triangular product whose factor at that row is 1.
+    a block-triangular product whose factor at that row is 1. With r = 1
+    the block is the only one and must take all m steps, so the sets of
+    fewer get no determinant and entries 1..m-1 stay empty.
 
     The row sets are built on an explicit stack, one moved row per step,
     so no recursion deepens with the row count. A state is (the first
@@ -89,7 +92,7 @@ def _raises(block: list[int], e: list[int], r: int, m: int) -> list[list[tuple]]
     stack = [(0, m, e[block[0]] + r * m + 1, ())]  # the top row is bounded by the steps
     while stack:
         a, budget, cap, moves = stack.pop()
-        if moves:
+        if moves and (r > 1 or not budget):
             det = _det([[int(v >= e[j]) for j, _ in moves] for _, v in moves])
             if det:
                 table[m - budget].append((moves, det))
@@ -108,10 +111,20 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     coefficient of s_lam in s_nu * h_m(x^r) is the coefficient of
     x^{lam + delta} in a_{nu + delta} * h_m(x^r): the determinant of the
     0/1 matrix whose entry (i, j) is 1 when (lam_i - i) - (nu_j - j) is a
-    nonnegative multiple of r. It is taken over L = len(nu) + r*m rows
-    and columns, since no lam is longer (more would add a unitriangular
-    block). This is the alternating sum whose cancellations the
-    combinatorial rule explains.
+    nonnegative multiple of r. This is the alternating sum whose
+    cancellations the combinatorial rule explains.
+
+    It is taken over L = len(nu) + r rows and columns when m >= 1, and
+    len(nu) when m = 0, since no lam with a nonzero coefficient is
+    longer. As prod_i (1 - x_i^r t^r)^{-1} = prod_i prod_{z^r = 1}
+    (1 - z x_i t)^{-1}, h_m(x^r) is h_{rm} on the alphabet {z x_i} of
+    the products of x with the r roots of unity z. By the Cauchy
+    identity (Macdonald I.4) that is sum_mu s_mu(roots) s_mu(x) over
+    |mu| = rm, and a Schur function in r letters vanishes when
+    len(mu) > r. By Littlewood-Richardson (I.9), s_nu * s_mu has no term
+    longer than len(nu) + len(mu). A lam of at most L rows has the same
+    determinant over more rows: the extra rows and columns add a
+    unitriangular block, with zeros under the first L columns.
 
     A row and a column of different residues meet in a zero, so after
     sorting both into residue order the matrix is block diagonal, and
@@ -125,12 +138,14 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
     the order of the columns they pair with, into descending order (the
     order of lam): the residue sorts map both orders to one. The
     unmoved rows keep their columns' descending values, so the sort's
-    inversions are the rows before a moved row that it now exceeds.
-    Exact in Python ints at every degree.
+    inversions are the rows before a moved row that it now exceeds. A
+    leaf counts them, and its row count, in one loop over its moves in
+    column order, so every row before a move already holds its final
+    value. Exact in Python ints at every degree.
     """
     nu = _partition("nu", nu)
     r, m = _integer("r", r, 1), _integer("m", m, 0)
-    e = [p - j for j, p in enumerate(nu + (0,) * (r * m))]
+    e = [p - j for j, p in enumerate(nu + (0,) * (r if m else 0))]
     blocks: dict[int, list[int]] = {}
     for j, v in enumerate(e):
         blocks.setdefault(v % r, []).append(j)
@@ -148,11 +163,14 @@ def oracle_plethystic_mn(nu: Partition, r: int, m: int) -> SchurExpansion:
             continue
         # the rows past nu and past the last moved one keep e_j = -j, below
         # every row before them: parts 0, and no inversion
-        rows = e[: max(len(nu), 1 + max((j for j, _ in moves), default=-1))]
-        for j, v in moves:
+        rows, n, odd = e[:], len(nu), 0
+        for j, v in sorted(moves):
             rows[j] = v
-        if sum(sum(map(v.__gt__, rows[:j])) for j, v in moves) % 2:
-            coefficient = -coefficient
+            odd += sum(map(v.__gt__, rows[:j]))
+            if j >= n:
+                n = j + 1
+        del rows[n:]
         rows.sort(reverse=True)
-        terms[Partition._trusted(map(int.__add__, rows, range(len(rows))))] = coefficient
+        lam = Partition._trusted(map(int.__add__, rows, range(n)))
+        terms[lam] = -coefficient if odd % 2 else coefficient
     return SchurExpansion(r * m + nu.size(), terms)

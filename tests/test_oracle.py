@@ -262,8 +262,8 @@ def acceptance_4_and_12_cases():
 
 
 def residue_blocks(nu, r, m):
-    """The oracle's column values nu_j - j over len(nu) + r*m columns, and the columns of each residue."""
-    e = [p - j for j, p in enumerate(nu.parts + (0,) * (r * m))]
+    """The oracle's column values nu_j - j over len(nu) + r columns (len(nu) if m = 0), and the columns of each residue."""
+    e = [p - j for j, p in enumerate(nu.parts + (0,) * (r if m else 0))]
     blocks = {}
     for j, v in enumerate(e):
         blocks.setdefault(v % r, []).append(j)
@@ -288,9 +288,10 @@ def block_det(rows, cols):
 
 def test_residue_prefilter_skips_only_singular_matrices():
     # every shape of the degree: the oracle builds exactly the nonsingular
-    # ones, with the full determinant as coefficient, and each row set of a
-    # block that it skips (not dominating its columns) or drops (zero
-    # determinant) makes the full matrix singular
+    # ones, with the full determinant as coefficient, each shape longer
+    # than its len(nu) + r rows has a singular full matrix (the row bound),
+    # and each row set of a block that it skips (not dominating its
+    # columns) or drops (zero determinant) makes the full matrix singular
     cases = acceptance_4_and_12_cases()
     assert len(cases) == 103 + 15
     counts = dict.fromkeys(
@@ -342,24 +343,25 @@ def test_residue_prefilter_skips_only_singular_matrices():
                 assert full != 0 and got[lam] == full, (lam, nu, r, m)
         assert built == len(got), (nu, r, m)
         counts["built"] += built
-    # 54195 shapes: 1651 built, 37611 with unequal residue counts, 134
-    # longer than len(nu) + r*m rows, 14799 holding a skipped or dropped
+    # 54195 shapes: 1651 built, 5777 with unequal residue counts, 45471
+    # longer than len(nu) + r rows, 1296 holding a skipped or dropped
     # block (some both)
     assert counts == {
         "built": 1651,
-        "residues": 37611,
-        "longer": 134,
-        "singular": 14799,
-        "skipped": 403,
-        "beyond": 218,
-        "dropped": 14445,
+        "residues": 5777,
+        "longer": 45471,
+        "singular": 1296,
+        "skipped": 281,
+        "beyond": 144,
+        "dropped": 1037,
     }
 
 
 def test_block_raises_are_the_nonsingular_dominating_row_sets():
     # each kept raise moves rows of its block by positive multiples of r,
     # keeps them strictly descending, adds k steps in all, and its
-    # determinant over the moved rows is that of the whole block, nonzero
+    # determinant over the moved rows is that of the whole block, nonzero;
+    # with r = 1 the one block takes all m steps, so no raise of fewer is kept
     cases = acceptance_4_and_12_cases()
     raises = 0
     for nu, r, m in cases:
@@ -367,7 +369,7 @@ def test_block_raises_are_the_nonsingular_dominating_row_sets():
         for t, block in blocks.items():
             cols = [e[j] for j in block]
             for k, entries in enumerate(_raises(block, e, r, m)):
-                assert k or not entries
+                assert (k and (r > 1 or k == m)) or not entries, (nu, r, m, k)
                 for moves, det in entries:
                     moved = dict(moves)
                     assert len(moved) == len(moves) and set(moved) <= set(block)
@@ -377,7 +379,7 @@ def test_block_raises_are_the_nonsingular_dominating_row_sets():
                     assert sum(map(int.__sub__, rows, cols)) == k * r, (nu, r, t, moves)
                     assert det != 0 and det == block_det(rows, cols), (nu, r, t, moves)
                     raises += 1
-    assert raises == 971
+    assert raises == 885
 
 
 @pytest.mark.parametrize(
@@ -395,6 +397,9 @@ def test_block_raises_are_the_nonsingular_dominating_row_sets():
         ((), 1, 6),  # r = 1: one block, every shape containing nu
         ((2, 1), 1, 4),
         ((3, 3), 1, 3),
+        ((1,), 1, 12),  # small r, larger m: r*m rows past nu, only r of them used
+        ((2, 1), 1, 10),
+        ((1,), 2, 6),
     ],
 )
 def test_oracle_equals_full_matrix_reference_on_edge_cases(nu, r, m):
@@ -484,9 +489,19 @@ def test_oracle_agrees_with_plethystic_mn_at_degrees_13_to_15(nu, r, m):
 
 @pytest.mark.parametrize("nu, r, m", [((), 4, 10), ((3, 1), 6, 9), ((), 6, 10)])
 def test_oracle_agrees_with_plethystic_mn_at_degrees_40_to_60(nu, r, m):
-    # 286, 2002 and 3003 terms; about 0.01-0.03 s each on a 2-CPU host
+    # 286, 2002 and 3003 terms; about 1.4-2.5, 11-20 and 16-30 ms on a
+    # 2-CPU host
     nu = make_partition(nu)
     assert 40 <= nu.size() + r * m <= 60
+    assert oracle_plethystic_mn(nu, r, m) == plethystic_mn(nu, r, m)
+
+
+@pytest.mark.parametrize("nu, r, m", [((), 1, 200), ((2, 1), 1, 20), ((), 2, 14), ((3, 2), 2, 12)])
+def test_oracle_agrees_with_plethystic_mn_at_small_r_and_large_m(nu, r, m):
+    # 1, 4, 15 and 25 terms, each in about 1 ms or less on a 2-CPU host;
+    # over len(nu) + r*m rows the row sets of determinant 0 would grow
+    # with the partitions of m
+    nu = make_partition(nu)
     assert oracle_plethystic_mn(nu, r, m) == plethystic_mn(nu, r, m)
 
 

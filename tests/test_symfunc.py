@@ -445,6 +445,30 @@ def test_power_product_pleth_examples():
     )
 
 
+def test_no_term_is_longer_than_nu_plus_the_sum_of_the_rs():
+    # each p_r o h_m is a signed sum of s_mu with len(mu) <= r, and s_nu * s_mu
+    # has no term longer than len(nu) + len(mu): the bound that _terms'
+    # padding rows and the determinant oracle's row count rest on. Single
+    # factors on acceptance 11's range, the folds on acceptance 4's nu.
+    # Every one of these expansions has a term of exactly that length
+    cases = []
+    for nu in partitions_up_to(6):
+        for r in (1, 2, 3, 4):
+            for m in (1, 2, 3, 4, 5):
+                if r * m + nu.size() <= 18:
+                    cases.append((nu, r, plethystic_mn(nu, r, m)))
+    for nu in partitions_up_to(4):
+        for ms in ([1, 1], [2, 1], [2, 2, 1]):
+            for r in (1, 2, 3):
+                cases.append((nu, r * len(ms), plethystic_mn_multi(nu, r, ms)))
+        for rs in ([1, 2], [2, 3], [1, 1, 2]):
+            for m in (1, 2):
+                cases.append((nu, sum(rs), power_product_pleth(nu, rs, m)))
+    assert len(cases) == 521 + 180
+    for nu, rows, expansion in cases:
+        assert max(map(len, expansion.terms)) == len(nu) + rows, (nu, rows, expansion)
+
+
 def test_recursive_consistency():
     # m * (expansion for h_m) equals the sum over ell of the expansion for
     # h_{m-ell} multiplied by the power sum p_{r*ell}
