@@ -19,6 +19,7 @@ from .abacus import (
     BeadMove,
     IllegalMove,
     IncompatibleAbaci,
+    InvalidAbacus,
     abacus_of,
     final_positions,
     inversion_sign,

@@ -36,6 +36,10 @@ class IncompatibleAbaci(ValueError):
     """Bead counts (total or per runner) differ between two abaci."""
 
 
+class InvalidAbacus(ValueError):
+    """An abacus argument is not an Abacus."""
+
+
 class BeadMove(NamedTuple):
     from_position: int
     to_position: int
@@ -90,6 +94,17 @@ class Abacus(_AbacusFields):
         return {"bead_count": self.bead_count, "beads": self.sorted_beads()}
 
 
+def _abacus(name: str, abacus: Abacus) -> Abacus:
+    """abacus itself if it is an Abacus, else an InvalidAbacus naming the argument.
+
+    Bead data in any other form is rejected, not converted, as
+    partitions._partition rejects parts.
+    """
+    if not isinstance(abacus, Abacus):
+        raise InvalidAbacus(f"{name} must be an Abacus, got {abacus!r}; build it with abacus_of")
+    return abacus
+
+
 def _beads_of(parts: tuple[int, ...], bead_count: int) -> list[int]:
     """Descending bead positions of a partition at bead_count >= its length."""
     padded = parts + (0,) * (bead_count - len(parts))
@@ -118,6 +133,7 @@ def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
 
 def partition_of(abacus: Abacus) -> Partition:
     """Partition encoded by an abacus; inverse of abacus_of at any bead count."""
+    abacus = _abacus("abacus", abacus)
     return _partition_of_beads(sorted(abacus.bead_positions, reverse=True))
 
 
@@ -128,6 +144,7 @@ def _check_runner(r: int, t: int) -> None:
 
 def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
     """Sorted bead positions lying on runner t."""
+    abacus = _abacus("abacus", abacus)
     r, t = _integer("r", r, 1), _integer("t", t, None)
     _check_runner(r, t)
     return sorted(p for p in abacus.bead_positions if p % r == t)
@@ -135,6 +152,7 @@ def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
 
 def final_positions(abacus: Abacus, moves: Sequence[BeadMove]) -> dict[int, int]:
     """Apply moves left to right; map each bead's original position to its final one."""
+    abacus = _abacus("abacus", abacus)
     origin = {p: p for p in abacus.bead_positions}
     for i, (src, dst) in enumerate(moves):
         if src not in origin:
@@ -164,20 +182,26 @@ def inversion_sign(abacus: Abacus, moves: Sequence[BeadMove]):
     return (-1) ** len(inverted), frozenset(inverted)
 
 
-def _runner_buckets(source: Abacus, target: Abacus, r: int) -> tuple[dict, dict]:
-    """Each abacus's ascending beads per runner holding one, after the total-count check."""
+def _runner_buckets(source: Abacus, target: Abacus, r: int) -> dict[int, tuple[list, list]]:
+    """{t: (source's, target's ascending beads on runner t)}, after the total-count check.
+
+    The runners are those holding a bead of either abacus, in ascending t.
+    An argument that is not an Abacus is named by its position, since the
+    callers' names for the two differ.
+    """
+    _abacus("first abacus", source)
+    _abacus("second abacus", target)
     if source.bead_count != target.bead_count:
         raise IncompatibleAbaci(f"bead counts {source.bead_count} != {target.bead_count}")
-    buckets: tuple[dict, dict] = ({}, {})
-    for abacus, runners in zip((source, target), buckets):
+    buckets: dict[int, tuple[list, list]] = {}
+    for side, abacus in enumerate((source, target)):
         for p in sorted(abacus.bead_positions):
-            runners.setdefault(p % r, []).append(p)
-    return buckets
+            buckets.setdefault(p % r, ([], []))[side].append(p)
+    return dict(sorted(buckets.items()))
 
 
-def _runner_pair(buckets: tuple[dict, dict], t: int) -> tuple[list, list]:
-    """Runner t's ascending beads in the two buckets of _runner_buckets, equal in number."""
-    src, dst = buckets[0].get(t, []), buckets[1].get(t, [])
+def _runner_pair(t: int, src: list, dst: list) -> tuple[list, list]:
+    """Runner t's two bead lists from _runner_buckets, once they are equal in number."""
     if len(src) != len(dst):
         raise IncompatibleAbaci(f"runner {t}: {len(src)} beads vs {len(dst)}")
     return src, dst
@@ -192,11 +216,9 @@ def single_step_moves(source: Abacus, target: Abacus, r: int) -> list[BeadMove]:
     Runners with no bead in either abacus match and are skipped.
     """
     r = _integer("r", r, 1)
-    buckets = _runner_buckets(source, target, r)
     moves: list[BeadMove] = []
-    for t in sorted(buckets[0].keys() | buckets[1].keys()):
-        src, dst = _runner_pair(buckets, t)
-        for a, c in zip(src, dst):
+    for t, pair in _runner_buckets(source, target, r).items():
+        for a, c in zip(*_runner_pair(t, *pair)):
             if c > a:
                 raise IncompatibleAbaci(
                     f"runner {t}: bead at {a} cannot move down to {c}"

@@ -12,7 +12,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 
 class InvalidPartition(ValueError):
-    """Input is not a weakly decreasing sequence of non-negative integers."""
+    """Input is not a weakly decreasing sequence of non-negative integers.
+
+    Also raised for a shape or skew argument that is not a Partition or a
+    SkewPartition.
+    """
 
 
 class NotContained(ValueError):
@@ -184,6 +188,18 @@ class SkewPartition(_SkewFields):
 def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
     """Build a skew shape of two Partitions; raises NotContained unless inner fits in outer."""
     return SkewPartition(outer, inner)
+
+
+def _skew(name: str, skew: SkewPartition) -> SkewPartition:
+    """skew itself if it is a SkewPartition, else an InvalidPartition naming the argument.
+
+    A pair of shapes is rejected, not converted, as _partition rejects parts.
+    """
+    if not isinstance(skew, SkewPartition):
+        raise InvalidPartition(
+            f"{name} must be a SkewPartition, got {skew!r}; build it with make_skew"
+        )
+    return skew
 
 
 class _Record:

@@ -10,8 +10,9 @@ coefficients at partition exponents, and one unitriangular solve against
 Kostka numbers turns these into Schur coefficients.
 
 This is the only module of the package that imports numpy. Neither the
-combinatorial rule nor the determinant oracle uses it; the package root
-and `oracle` load it on first access to one of its public names.
+combinatorial rule nor the determinant oracle uses it, and the package
+root does not import it; `oracle` loads it on first access to one of
+its public names, which are otherwise read from here.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .abacus import (
     partition_of,
     single_step_moves,
 )
-from .partitions import Box, Partition, SkewPartition, _integer, _partition, _Record
+from .partitions import Box, Partition, SkewPartition, _integer, _partition, _Record, _skew
 
 
 class EmptySkew(ValueError):
@@ -113,7 +113,7 @@ def final_border_strip(skew: SkewPartition, r: int) -> BorderStrip | None:
     which exists exactly when the position r above that bead is a gap and
     the moved bead list still dominates the inner shape's.
     """
-    r = _integer("strip length", r, 1)
+    skew, r = _skew("skew", skew), _integer("strip length", r, 1)
     if skew.is_empty():
         raise EmptySkew(f"{skew.outer}/{skew.inner} has no boxes")
     lam = skew.outer
@@ -153,7 +153,7 @@ def r_decompose(skew: SkewPartition, r: int) -> Decomposition | None:
     Walks one bead list as _chain_sign does; a move leaves the beads
     before it equal to inner's, so the first differing index never drops.
     """
-    r = _integer("strip length", r, 1)
+    skew, r = _skew("skew", skew), _integer("strip length", r, 1)
     if skew.size() % r != 0:
         return None
     b = len(skew.outer)
@@ -242,7 +242,7 @@ def _chain_sign(beads: list[int], inner: list[int], r: int) -> int:
 
 def sgn_r(skew: SkewPartition, r: int) -> int:
     """Sign of the final-strip chain, or 0 when the skew is not r-decomposable."""
-    r = _integer("strip length", r, 1)
+    skew, r = _skew("skew", skew), _integer("strip length", r, 1)
     if skew.size() % r != 0:
         return 0
     lam, nu = skew.outer, skew.inner
@@ -280,22 +280,14 @@ def _runner_type(src: list[int], dst: list[int]) -> tuple[RunnerType, range]:
     return RunnerType.III, range(0)
 
 
-def _typed_runners(a: Abacus, c: Abacus, r: int, lenient: bool = False):
+def _typed_runners(a: Abacus, c: Abacus, r: int):
     """(t, src, dst, type, stuck run) per runner holding a bead, in ascending t.
 
-    A runner whose two bead counts differ raises IncompatibleAbaci, or,
-    when lenient, comes as (t, None, None, None, range(0)).
+    A runner whose two bead counts differ raises IncompatibleAbaci.
     """
-    buckets = _runner_buckets(a, c, r)
-    for t in sorted(buckets[0].keys() | buckets[1].keys()):
-        try:
-            src, dst = _runner_pair(buckets, t)
-        except IncompatibleAbaci:
-            if not lenient:
-                raise
-            yield t, None, None, None, range(0)
-        else:
-            yield (t, src, dst, *_runner_type(src, dst))
+    for t, pair in _runner_buckets(a, c, r).items():
+        src, dst = _runner_pair(t, *pair)
+        yield (t, src, dst, *_runner_type(src, dst))
 
 
 def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
@@ -303,7 +295,7 @@ def classify_runner(a: Abacus, c: Abacus, r: int, t: int) -> RunnerType:
     r, t = _integer("r", r, 1), _integer("t", t, None)
     buckets = _runner_buckets(a, c, r)
     _check_runner(r, t)
-    return _runner_type(*_runner_pair(buckets, t))[0]
+    return _runner_type(*_runner_pair(t, *buckets.get(t, ([], []))))[0]
 
 
 def runner_types(a: Abacus, c: Abacus, r: int) -> dict[int, RunnerType | None]:
@@ -314,7 +306,10 @@ def runner_types(a: Abacus, c: Abacus, r: int) -> dict[int, RunnerType | None]:
     type I.
     """
     r = _integer("r", r, 1)
-    return {t: kind for t, _, _, kind, _ in _typed_runners(a, c, r, lenient=True)}
+    return {
+        t: _runner_type(src, dst)[0] if len(src) == len(dst) else None
+        for t, (src, dst) in _runner_buckets(a, c, r).items()
+    }
 
 
 def runner_profile(a: Abacus, c: Abacus, r: int) -> tuple[RunnerType, ...]:
@@ -543,7 +538,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     so a call the memo answers in full encodes neither.
     """
     global _weight
-    r = _integer("strip length", r, 1)
+    skew, r = _skew("skew", skew), _integer("strip length", r, 1)
     lam, nu = skew.outer, skew.inner
     size = sum(lam) - sum(nu)
     m, rest = divmod(size, r)

@@ -13,7 +13,9 @@ generation of plethystic_mn's shapes, the greedy chain read off one
 final_border_strip call per strip, the expansion walk on bead lists
 that plethystic_mn made before it moved rows, the folds of
 plethystic_mn_multi and power_product_pleth through the public
-plethystic_mn, with a checked expansion per factor, and the term count
+plethystic_mn, with a checked expansion per factor, and through
+oracle_plethystic_mn alone, one oracle call per term and factor (mixed
+r included), and the term count
 of plethystic_mn read off the r-quotient, with no term built.
 
 The fixed case lists of the partition and abacus sweeps come from here:
@@ -45,7 +47,7 @@ from plethabacus.abacus import (
     final_positions,
     runner_beads,
 )
-from plethabacus.oracle import _det
+from plethabacus.oracle import _det, oracle_plethystic_mn
 from plethabacus.partitions import (
     Box,
     Partition,
@@ -678,3 +680,22 @@ def quotient_term_count(nu: Partition, r: int, m: int) -> int:
             sums = [0, *accumulate(series)]
             series = [sums[k + 1] - sums[max(0, k - g)] for k in range(m + 1)]
     return series[m]
+
+
+def oracle_fold(nu: Partition, factors: list[tuple[int, int]]) -> dict[Partition, int]:
+    """The terms of s_nu times the product of p_r applied to h_m over (r, m), by the oracle.
+
+    Each term c * s_p of the running product times one
+    oracle_plethystic_mn(p, r, m), in the factors' given order, summed,
+    with the zeros dropped: every coefficient comes from bialternant
+    determinants and the loop is linearity alone, so no abacus, strips
+    or symfunc code runs. It is the products' check for mixed r too.
+    """
+    acc = {nu: 1}
+    for r, m in factors:
+        terms: dict[Partition, int] = {}
+        for p, c in acc.items():
+            for q, d in oracle_plethystic_mn(p, r, m).terms.items():
+                terms[q] = terms.get(q, 0) + c * d
+        acc = {q: c for q, c in terms.items() if c}
+    return acc

@@ -15,6 +15,7 @@ from oracles import (
     decomposition_moves,
     is_ribbon,
     movable_beads,
+    oracle_fold,
     removal_sign_set,
     ribbon_additions,
     ribbon_height,
@@ -50,7 +51,7 @@ from plethabacus.strips import (
     sgn_r,
     sign_recursion_check,
 )
-from plethabacus.symfunc import plethystic_mn
+from plethabacus.symfunc import plethystic_mn, plethystic_mn_multi, power_product_pleth
 
 LAM = make_partition([13, 10, 10, 5, 4, 3, 1])
 NU = make_partition([11, 7, 4, 3, 1])
@@ -72,6 +73,8 @@ LABELS = {
     11: "plethystic expansions equal the oracle, |nu|<=6, r<=4, m<=5, degree<=18",
     12: "plethystic expansions equal the oracle, |nu|<=2, r in {3,5}, 24<degree<=30",
     13: "plethystic expansions equal the oracle at five shapes of degree 36 to 42",
+    14: "plethystic expansions equal the oracle at two shapes of degree 80 and 84",
+    15: "product folds equal the oracle's fold, |nu|<=4, degree<=16 and two of 23, 24",
 }
 
 
@@ -335,3 +338,42 @@ def test_13_plethystic_expansion_equals_oracle_to_degree_42():
         nu = make_partition(nu)
         assert 36 <= r * m + nu.size() <= 42
         assert plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m), (nu, r, m)
+
+
+@acceptance(14)
+def test_14_plethystic_expansion_equals_oracle_to_degree_84():
+    cases = [((4, 3, 2, 1), 7, 10, 13013), ((3, 1), 10, 8, 24310)]
+    for nu, r, m, count in cases:
+        nu = make_partition(nu)
+        want = oracle_plethystic_mn(nu, r, m)
+        assert len(want.terms) == count, (nu, r, m)
+        assert plethystic_mn(nu, r, m) == want, (nu, r, m)
+
+
+@acceptance(15)
+def test_15_product_folds_equal_the_oracle_fold():
+    # each term times one oracle call per factor, in the given order: the
+    # coefficients come from determinants alone, for mixed r as well
+    multi_ms = ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 2), (0, 2))
+    power_rs = ((1, 2), (2, 2), (2, 3), (1, 2, 3), (1, 1, 2), (3, 4))
+    cases = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3, 4):
+            for ms in multi_ms:
+                if nu.size() + r * sum(ms) <= 16:
+                    want = oracle_fold(nu, [(r, m) for m in ms])
+                    assert plethystic_mn_multi(nu, r, list(ms)).terms == want, (nu, r, ms)
+                    cases += 1
+        for rs in power_rs:
+            for m in (0, 1, 2, 3):
+                if nu.size() + sum(rs) * m <= 16:
+                    want = oracle_fold(nu, [(r, m) for r in rs])
+                    assert power_product_pleth(nu, list(rs), m).terms == want, (nu, rs, m)
+                    cases += 1
+    # four values of r in one product, and coefficients up to 3,696
+    mixed = power_product_pleth(make_partition([2, 1]), [1, 2, 3, 4], 2)
+    assert mixed.terms == oracle_fold(make_partition([2, 1]), [(r, 2) for r in (1, 2, 3, 4)])
+    dense = plethystic_mn_multi(make_partition([]), 2, [2] * 6)
+    assert dense.terms == oracle_fold(make_partition([]), [(2, 2)] * 6)
+    cases += 2
+    assert (cases, len(mixed.terms), len(dense.terms)) == (601, 687, 1017)

@@ -35,6 +35,7 @@ PUBLIC = {
     "BeadMove",
     "IllegalMove",
     "IncompatibleAbaci",
+    "InvalidAbacus",
     "abacus_of",
     "final_positions",
     "inversion_sign",

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -29,13 +30,17 @@ from plethabacus.abacus import (
     Abacus,
     BadRunner,
     IncompatibleAbaci,
+    InvalidAbacus,
     abacus_of,
+    final_positions,
     inversion_sign,
+    partition_of,
     runner_beads,
     single_step_moves,
 )
 from plethabacus.partitions import (
     Box,
+    InvalidPartition,
     Partition,
     make_partition,
     make_skew,
@@ -339,6 +344,45 @@ def test_runner_functions_reject_a_non_integer_argument(name, value):
     a, c = abacus_of(LAM2, 9), abacus_of(NU2, 9)
     with pytest.raises(ValueError, match=f"^{arg} must be an integer, got {value!r}$"):
         RUNNER_CALLS[name](a, c, value)
+
+
+# every entry point that takes a skew or an abacus, keyed by its name: a call
+# with that argument set to x, and the name its error gives the argument
+RECORD_CALLS = {
+    "sgn_r": (lambda x: sgn_r(x, 2), "skew"),
+    "r_decompose": (lambda x: r_decompose(x, 2), "skew"),
+    "final_border_strip": (lambda x: final_border_strip(x, 2), "skew"),
+    "sign_recursion_check": (lambda x: sign_recursion_check(x, 2), "skew"),
+    "classify_runner": (lambda x: classify_runner(x, abacus_of(NU2, 9), 2, 0), "first abacus"),
+    "runner_types": (lambda x: runner_types(abacus_of(LAM2, 9), x, 2), "second abacus"),
+    "runner_profile": (lambda x: runner_profile(x, abacus_of(NU2, 9), 2), "first abacus"),
+    "pairing_witness": (lambda x: pairing_witness(abacus_of(LAM2, 9), x, 2), "second abacus"),
+    "single_step_moves": (lambda x: single_step_moves(x, abacus_of(NU2, 9), 2), "first abacus"),
+    "inversion_sign": (lambda x: inversion_sign(x, []), "abacus"),
+    "final_positions": (lambda x: final_positions(x, []), "abacus"),
+    "partition_of": (partition_of, "abacus"),
+    "runner_beads": (lambda x: runner_beads(x, 2, 0), "abacus"),
+}
+
+
+@pytest.mark.parametrize("form", [tuple, list, lambda record: None])
+@pytest.mark.parametrize("name", list(RECORD_CALLS))
+def test_record_arguments_reject_other_types(name, form):
+    # a plain tuple, list or None fails at the boundary, naming the argument
+    # and the builder, where it used to raise AttributeError further in
+    call, arg = RECORD_CALLS[name]
+    if arg == "skew":
+        record = make_skew(LAM2, NU2)
+        error, kind, builder = InvalidPartition, "a SkewPartition", "make_skew"
+    else:
+        # the second abacus is the inner one, as the runner calls take them
+        record = abacus_of(NU2 if arg == "second abacus" else LAM2, 9)
+        error, kind, builder = InvalidAbacus, "an Abacus", "abacus_of"
+    call(record)
+    value = form(record)
+    message = f"^{arg} must be {kind}, got {re.escape(repr(value))}; build it with {builder}$"
+    with pytest.raises(error, match=message):
+        call(value)
 
 
 def test_order_independent_sign_examples():
