@@ -253,8 +253,12 @@ class SchurExpansion(_Record):
 
     def __init__(self, degree: int, terms: dict[Partition, int] | None = None):
         degree = _integer("degree", degree, 0)
+        try:
+            items = {}.items() if terms is None else terms.items()
+        except AttributeError:
+            raise ValueError(f"terms must be a dict of shape -> coeff, got {terms!r}") from None
         clean = {}
-        for p, c in (terms or {}).items():
+        for p, c in items:
             p = _partition("shape", p)
             try:
                 c = index(c)
@@ -311,14 +315,28 @@ class SchurExpansion(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SchurExpansion":
-        """Inverse of to_json; rejects a non-int number and a repeated shape."""
+        """Inverse of to_json; rejects a non-int number, a repeated shape and a missing field."""
+        degree, entries = _json_fields("expansion", data, "degree", "terms")
+        if not isinstance(entries, list):
+            raise ValueError(f"terms must be a list, got {entries!r}")
         terms = {}
-        for t in data["terms"]:
-            p = make_partition(t["lambda"])
+        for t in entries:
+            parts, coeff = _json_fields("term", t, "lambda", "coeff")
+            p = make_partition(parts)
             if p in terms:
                 raise ValueError(f"shape {p.to_json()} is repeated")
-            terms[p] = t["coeff"]
-        return cls(data["degree"], terms)
+            terms[p] = coeff
+        return cls(degree, terms)
+
+
+def _json_fields(what: str, data: dict, *names: str) -> list:
+    """The named fields of a JSON object, else a ValueError naming what is wrong."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} has no {name!r} field")
+    return [data[name] for name in names]
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import threading
 from itertools import compress, count
-from operator import ge, ne
+from operator import ne
 from typing import NamedTuple
 
 from .abacus import (
@@ -512,19 +512,21 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     groups. A removal is stored as its summand with tail sign 0, and a
     report holds that object wherever the tail sign is 0, as it is for most
     summands. Each mu and summand the memo or a report holds is the one
-    object _shared keeps for its value, whatever outer shape met it, so a
-    summand with a nonzero tail is kept only the first time its value
-    turns up, and a report holds that object thereafter. Only a walk
-    that passes every stored removal of an unfinished group builds more:
-    one _raise_bead move against nu's bead list per free target, resuming
-    after the last stored strip, up to the first that fails nu or to
-    q = m. So a call moves a bead only where a walk without
-    the memo would, and the memo holds only removals that were summands of
-    some call. A sweep meets most tails many times, so each tail sign
-    sgn_r(mu/nu) is computed once (a new mu's on its moved bead list) and
-    then read from the memo; a mu found there contains nu. The memo has no
-    option and changes no report. Concurrent calls are safe: each holds
-    the memo's lock for its whole walk, so they run one at a time.
+    object _shared keeps for its value, whatever outer shape met it; a
+    nonzero-tail summand is interned where it is built, so a report holds
+    the first object built for its value. An unfinished group is extended
+    before it is read when it is empty or its last stored removal keeps
+    nu (by the pruning, when every stored one does): one _raise_bead move
+    against nu's bead list per free target, after the last stored strip,
+    up to the first that fails nu or to q = m. One loop then reads the
+    group, old removals and new. So a call moves a bead only where a walk
+    without the memo would, and the memo holds only removals that were
+    summands of some call. A sweep meets most tails many times, so each
+    tail sign sgn_r(mu/nu) is computed once (a new removal's on its moved
+    bead list) and then read from the memo; a mu found there contains nu.
+    The memo has no option and changes no report. Concurrent calls are
+    safe: each holds the memo's lock for its whole walk, so they run one
+    at a time.
 
     The left side sgn_r(lam/nu) is read off the report, not chained
     again: the greedy chain first raises the bead of the first row where
@@ -573,30 +575,16 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
             tails = _tails[nu, r] = {}
             _weight += _GROUP_BYTES * (len(nu) + 4)
         signed = len(tails)
-        rows = len(nu)
         summands = []
         new = tuple.__new__  # a RecursionSummand, with no Python-level call
         intern = _shared.setdefault
         occupied = None
         for k, group in enumerate(groups):
-            length = 0
-            for removal in group:
-                mu, length, sign, _ = removal
-                tail = tails.get(mu)
-                if tail is None:
-                    if len(mu) < rows or not all(map(ge, mu, nu)):
-                        break
-                    if inner is None:
-                        inner = _beads_of(nu, b)
-                    tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
-                if tail:
-                    removal = new(RecursionSummand, (mu, length, sign, tail))
-                summands.append(removal)
-            else:
-                if type(group) is tuple:
-                    continue
-                # every removal built so far keeps nu: build the bead's next
-                # ones, after the last, up to the first that fails nu or to q = m
+            # extend an unfinished group before reading it when its last
+            # removal keeps nu (by the pruning, when all of them do)
+            if type(group) is list and (
+                not group or group[-1].mu in tails or group[-1].mu.contains(nu)
+            ):
                 if occupied is None:
                     if beads is None:
                         beads = _beads_of(lam, b)
@@ -605,7 +593,8 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     occupied = set(beads)
                 i = order[k]
                 beta = beads[i]
-                for target in range(beta - length - r, max(beta - size, 0) - 1, -r):
+                start = beta - (group[-1].strip_length if group else 0) - r
+                for target in range(start, max(beta - size, 0) - 1, -r):
                     if target in occupied:
                         continue
                     moved = beads.copy()
@@ -614,27 +603,33 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                         break
                     mu = _partition_of_beads(moved)
                     mu = intern(mu, mu)
-                    length, sign = beta - target, -1 if height & 1 else 1
-                    removal = new(RecursionSummand, (mu, length, sign, 0))
-                    removal = intern(removal, removal)
-                    group.append(removal)
+                    sign = -1 if height & 1 else 1
+                    removal = new(RecursionSummand, (mu, beta - target, sign, 0))
+                    group.append(intern(removal, removal))
                     _weight += _PART_BYTES * (len(mu) + 5)
-                    tail = tails.get(mu)
-                    if tail is None:
-                        tail = tails[mu] = _chain_sign(moved, inner, r)
-                    if tail:
-                        removal = new(RecursionSummand, (mu, length, sign, tail))
-                    summands.append(removal)
+                    if mu not in tails:
+                        tails[mu] = _chain_sign(moved, inner, r)
                 else:
                     # no target >= 0 is left untried
                     if beta < size + r:
-                        groups[k] = tuple(group)
+                        groups[k] = group = tuple(group)
+            for removal in group:
+                mu, length, sign, _ = removal
+                tail = tails.get(mu)
+                if tail is None:
+                    if not mu.contains(nu):
+                        break
+                    if inner is None:
+                        inner = _beads_of(nu, b)
+                    tail = tails[mu] = _chain_sign(_beads_of(mu, b), inner, r)
+                if tail:
+                    # the value table's object, the first built for this value
+                    summand = new(RecursionSummand, (mu, length, sign, tail))
+                    removal = intern(summand, summand)
+                    if removal is summand:
+                        _weight += _SUMMAND_BYTES
+                summands.append(removal)
         _weight += _SLOT_BYTES * (len(tails) - signed)
-        # a report holds the value table's object for each nonzero-tail
-        # summand, the first one built for that value
-        held = len(_shared)
-        summands = tuple([intern(s, s) if s[3] else s for s in summands])
-        _weight += _SUMMAND_BYTES * (len(_shared) - held)
         # the greedy chain's first move raises bead first by r, the q = 1
         # removal at the head of its group; the walk has signed its tail
         # exactly when that removal keeps nu
@@ -646,4 +641,4 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 tail = tails.get(mu)
                 if tail is not None:
                     lhs = sign * tail
-        return SignRecursionReport(skew, r, m, lhs, summands)
+        return SignRecursionReport(skew, r, m, lhs, tuple(summands))

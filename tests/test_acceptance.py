@@ -75,6 +75,7 @@ LABELS = {
     13: "plethystic expansions equal the oracle at five shapes of degree 36 to 42",
     14: "plethystic expansions equal the oracle at two shapes of degree 80 and 84",
     15: "product folds equal the oracle's fold, |nu|<=4, degree<=16 and two of 23, 24",
+    16: "plethystic expansions equal the oracle at three shapes of degree 80 to 100, r to 20",
 }
 
 
@@ -377,3 +378,13 @@ def test_15_product_folds_equal_the_oracle_fold():
     assert dense.terms == oracle_fold(make_partition([]), [(2, 2)] * 6)
     cases += 2
     assert (cases, len(mixed.terms), len(dense.terms)) == (601, 687, 1017)
+
+
+@acceptance(16)
+def test_16_plethystic_expansion_equals_oracle_to_degree_100():
+    cases = [((), 8, 10, 19448), ((2, 2, 1), 12, 7, 31824), ((), 20, 5, 42504)]
+    for nu, r, m, count in cases:
+        nu = make_partition(nu)
+        want = oracle_plethystic_mn(nu, r, m)
+        assert len(want.terms) == count, (nu, r, m)
+        assert plethystic_mn(nu, r, m) == want, (nu, r, m)

@@ -893,6 +893,37 @@ def test_reports_match_the_golden_digest(monkeypatch):
     assert _report_digest() == (13585, GOLDEN_REPORT_DIGEST)
 
 
+# sha256 of the memo that one pass of _report_digest leaves in an empty
+# memo, as _memo_digest reads it
+GOLDEN_MEMO_DIGEST = "18fa4514436bc3ee9a36d162a441f490f5c0dab1ebf105c522402cea2788c634"
+
+
+def _memo_digest():
+    # each outer shape's groups (kind and contents) and bead order, each
+    # inner shape's tails in sorted order (the walk's fill order is not
+    # read anywhere), the weight and the value table's size, by sorted key
+    digest = hashlib.sha256()
+    for key in sorted(strips_module._removals):
+        groups, order = strips_module._removals[key]
+        kinds = [(type(group).__name__, list(group)) for group in groups]
+        digest.update(repr((key, kinds, order)).encode())
+    for key in sorted(strips_module._tails):
+        digest.update(repr((key, sorted(strips_module._tails[key].items()))).encode())
+    digest.update(repr((strips_module._weight, len(strips_module._shared))).encode())
+    return digest.hexdigest()
+
+
+def test_memo_matches_the_golden_digest(monkeypatch):
+    # which removals are built, which groups are finished, which tails are
+    # signed and what is counted, once on an empty memo and once on the
+    # memo that pass filled, which a second pass leaves as it is
+    _empty_memo(monkeypatch)
+    assert _report_digest()[0] == 13585
+    assert _memo_digest() == GOLDEN_MEMO_DIGEST
+    assert _report_digest()[0] == 13585
+    assert _memo_digest() == GOLDEN_MEMO_DIGEST
+
+
 def _acceptance_5_cases():
     # acceptance 5's skews: r <= 3, 1 <= m <= 10 // r, |nu| <= 4
     cases = [

@@ -103,6 +103,26 @@ def test_expansion_from_json_rejects_a_repeated_shape():
         SchurExpansion.from_json({"degree": 1, "terms": terms})
 
 
+def test_expansion_input_from_outside_is_rejected_by_field():
+    one = make_partition([1])
+    with pytest.raises(ValueError, match=r"^terms must be a dict of shape -> coeff, got \["):
+        SchurExpansion(1, [(one, 1)])
+    term = {"lambda": [1], "coeff": 1}
+    for data, message in [
+        ([], r"^expansion must be a JSON object, got \[\]$"),
+        (None, r"^expansion must be a JSON object, got None$"),
+        ({"terms": [term]}, r"^expansion has no 'degree' field$"),
+        ({"degree": 1}, r"^expansion has no 'terms' field$"),
+        ({"degree": 1, "terms": 5}, r"^terms must be a list, got 5$"),
+        ({"degree": 1, "terms": [[1]]}, r"^term must be a JSON object, got \[1\]$"),
+        ({"degree": 1, "terms": [{"coeff": 1}]}, r"^term has no 'lambda' field$"),
+        ({"degree": 1, "terms": [{"lambda": [1]}]}, r"^term has no 'coeff' field$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            SchurExpansion.from_json(data)
+    assert SchurExpansion.from_json({"degree": 1, "terms": [term]}) == SchurExpansion(1, {one: 1})
+
+
 def test_expansion_equality_ignores_insertion_order():
     a = SchurExpansion(2, {make_partition([2]): 1, make_partition([1, 1]): -1})
     b = SchurExpansion(2, {make_partition([1, 1]): -1, make_partition([2]): 1})
@@ -534,6 +554,25 @@ def test_fold_checks_every_factor_before_expanding(monkeypatch):
 )
 def test_non_integer_r_or_m_is_rejected_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(make_partition([2, 1]))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda nu: plethystic_mn_multi(nu, 2, 3), "ms"),
+        (lambda nu: plethystic_mn_multi(nu, 2, None), "ms"),
+        (lambda nu: power_product_pleth(nu, 3, 2), "rs"),
+        (lambda nu: power_product_pleth(nu, None, 2), "rs"),
+    ],
+    ids=["ms-int", "ms-None", "rs-int", "rs-None"],
+)
+def test_a_factor_list_that_cannot_be_iterated_is_rejected_by_name(monkeypatch, call, name):
+    def expand(*args):
+        raise AssertionError("expanded before the factor list was checked")
+
+    monkeypatch.setattr(symfunc, "_terms", expand)
+    with pytest.raises(ValueError, match=f"^{name} must be a list of integers, got "):
         call(make_partition([2, 1]))
 
 
