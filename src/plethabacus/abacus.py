@@ -10,10 +10,10 @@ between the two positions.
 
 from __future__ import annotations
 
-from operator import add, index
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, _integer, _partition
+from .partitions import Partition, _Checked, _integer, _integers, _partition
 
 
 class BeadCountTooSmall(ValueError):
@@ -50,7 +50,7 @@ class _AbacusFields(NamedTuple):
     bead_positions: frozenset[int]
 
 
-class Abacus(_AbacusFields):
+class Abacus(_Checked, _AbacusFields):
     """bead_count beads at distinct non-negative positions.
 
     An Abacus is the tuple (bead_count, bead_positions). Every
@@ -61,28 +61,12 @@ class Abacus(_AbacusFields):
 
     def __new__(cls, bead_count: int, bead_positions: Iterable[int]) -> "Abacus":
         bead_count = _integer("bead_count", bead_count, None)
-        try:
-            beads = frozenset(map(index, bead_positions))
-        except TypeError as e:
-            raise ValueError(f"bead positions must be integers: {e}") from None
+        beads = frozenset(_integers("bead positions", bead_positions, ValueError))
         if any(p < 0 for p in beads):
             raise ValueError(f"bead positions must be non-negative: {sorted(beads)}")
         if len(beads) != bead_count:
             raise ValueError(f"bead_count {bead_count} != {len(beads)} distinct positions")
         return tuple.__new__(cls, (bead_count, beads))
-
-    @classmethod
-    def _trusted(cls, bead_count: int, bead_positions: frozenset[int]) -> "Abacus":
-        """An Abacus of positions valid by construction, with no conversion or check.
-
-        Only for callers that build a frozenset of bead_count distinct
-        non-negative ints; input from outside goes through Abacus(...).
-        """
-        return tuple.__new__(cls, (bead_count, bead_positions))
-
-    @classmethod
-    def _make(cls, iterable) -> "Abacus":
-        return cls(*iterable)
 
     def has_bead(self, position: int) -> bool:
         return position in self.bead_positions
@@ -128,7 +112,7 @@ def abacus_of(shape: Partition, bead_count: int | None = None) -> Abacus:
     bead_count = len(shape) if bead_count is None else _integer("bead_count", bead_count, None)
     if bead_count < len(shape):
         raise BeadCountTooSmall(f"{bead_count} beads < {len(shape)} parts")
-    return Abacus._trusted(bead_count, frozenset(_beads_of(shape, bead_count)))
+    return Abacus._trusted((bead_count, frozenset(_beads_of(shape, bead_count))))
 
 
 def partition_of(abacus: Abacus) -> Partition:

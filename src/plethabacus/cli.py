@@ -16,6 +16,7 @@ from .abacus import abacus_of
 from .oracle import oracle_plethystic_mn
 from .partitions import (
     Partition,
+    _Checked,
     _integer,
     make_partition,
     make_skew,
@@ -86,7 +87,7 @@ def _bound_range(name: str, pair) -> tuple[int, int]:
     return lo, hi
 
 
-class VerifyConfig(_VerifyBounds):
+class VerifyConfig(_Checked, _VerifyBounds):
     """Sweep bounds for the verify command, checked here only; _make and _replace too."""
 
     __slots__ = ()
@@ -100,10 +101,6 @@ class VerifyConfig(_VerifyBounds):
         r_range = _bound_range("r range", fields.r_range)
         m_range = _bound_range("m range", fields.m_range)
         return tuple.__new__(cls, (max_nu_size, r_range, m_range, max_degree))
-
-    @classmethod
-    def _make(cls, iterable) -> "VerifyConfig":
-        return cls(*iterable)
 
 
 def _format_partition(p: Partition) -> str:

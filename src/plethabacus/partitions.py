@@ -23,12 +23,12 @@ class NotContained(ValueError):
     """Inner shape of a skew pair is not contained in the outer shape."""
 
 
-def _integers(parts: Iterable[int]) -> list[int]:
-    """The parts as ints; a float or a string is rejected, not truncated."""
+def _integers(name: str, values: Iterable[int], error: type[ValueError]) -> list[int]:
+    """The values as ints, else an error naming them; a float or a string is rejected."""
     try:
-        return list(map(index, parts))
+        return list(map(index, values))
     except TypeError as e:
-        raise InvalidPartition(f"parts must be integers: {e}") from None
+        raise error(f"{name} must be integers: {e}") from None
 
 
 def _integer(name: str, value: int, least: int | None) -> int:
@@ -60,7 +60,7 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        parts = tuple(_integers(parts))
+        parts = tuple(_integers("parts", parts, InvalidPartition))
         if parts and min(parts) < 1:
             raise InvalidPartition(f"parts must be positive: {parts}")
         if not all(map(ge, parts, parts[1:])):
@@ -115,7 +115,7 @@ def make_partition(parts: Iterable[int]) -> Partition:
     The input is converted and checked once here; the stripped list of
     positive weakly decreasing ints then needs no second pass.
     """
-    seq = _integers(parts)
+    seq = _integers("parts", parts, InvalidPartition)
     if seq:
         # a weakly decreasing list is non-negative when its last entry is;
         # only bad input pays for the min that picks the message
@@ -142,12 +142,32 @@ def _partition(name: str, shape: Partition) -> Partition:
     return shape
 
 
+class _Checked(tuple):
+    """First base of the NamedTuple records whose __new__ checks their fields.
+
+    NamedTuple's own _make builds with tuple.__new__ and skips that
+    check; this one calls the constructor, so _make and _replace check
+    too. A record lists this base ahead of its fields.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    # _trusted(fields): a record of a field tuple valid by construction,
+    # with no conversion or check, for callers that build the fields
+    # themselves; input from outside goes through the constructor.
+    _trusted = classmethod(tuple.__new__)
+
+
 class _SkewFields(NamedTuple):
     outer: Partition
     inner: Partition
 
 
-class SkewPartition(_SkewFields):
+class SkewPartition(_Checked, _SkewFields):
     """A pair outer/inner with inner contained in outer.
 
     A SkewPartition is the tuple (outer, inner). Every constructor,
@@ -167,10 +187,6 @@ class SkewPartition(_SkewFields):
         if len(outer) < len(inner) or not all(map(ge, outer, inner)):
             raise NotContained(f"{inner} is not contained in {outer}")
         return tuple.__new__(cls, (outer, inner))
-
-    @classmethod
-    def _make(cls, iterable) -> "SkewPartition":
-        return cls(*iterable)
 
     def size(self) -> int:
         return self.outer.size() - self.inner.size()
@@ -260,10 +276,7 @@ class SchurExpansion(_Record):
         clean = {}
         for p, c in items:
             p = _partition("shape", p)
-            try:
-                c = index(c)
-            except TypeError:
-                raise ValueError(f"coeff must be an integer, got {c!r}") from None
+            c = _integer("coeff", c, None)
             if c:
                 if p.size() != degree:
                     raise ValueError(f"{p} does not have degree {degree}")
@@ -291,11 +304,6 @@ class SchurExpansion(_Record):
     def coefficient(self, p: Partition) -> int:
         return self.terms.get(p, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
-
     def render(self) -> str:
         if not self.terms:
             return "0"
@@ -315,13 +323,20 @@ class SchurExpansion(_Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "SchurExpansion":
-        """Inverse of to_json; rejects a non-int number, a repeated shape and a missing field."""
+        """Inverse of to_json; rejects a non-int number, a repeated shape and a missing field.
+
+        A JSON boolean where an integer belongs (degree, a part of lambda,
+        coeff) is rejected too, though Python reads it as 1 or 0.
+        """
         degree, entries = _json_fields("expansion", data, "degree", "terms")
+        _no_json_boolean("degree", degree)
         if not isinstance(entries, list):
             raise ValueError(f"terms must be a list, got {entries!r}")
         terms = {}
         for t in entries:
             parts, coeff = _json_fields("term", t, "lambda", "coeff")
+            _no_json_boolean("lambda", parts)
+            _no_json_boolean("coeff", coeff)
             p = make_partition(parts)
             if p in terms:
                 raise ValueError(f"shape {p.to_json()} is repeated")
@@ -337,6 +352,18 @@ def _json_fields(what: str, data: dict, *names: str) -> list:
         if name not in data:
             raise ValueError(f"{what} has no {name!r} field")
     return [data[name] for name in names]
+
+
+def _no_json_boolean(name: str, value) -> None:
+    """A ValueError naming the field if value, or an entry of a list value, is a bool.
+
+    json reads true and false as bools, which are ints to the integer
+    checks; only from_json rejects them, and Python callers keep them.
+    """
+    if isinstance(value, bool) or isinstance(value, list) and any(
+        isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"{name} holds a JSON boolean where an integer belongs, got {value!r}")
 
 
 def partitions_of_size(n: int) -> Iterator[Partition]:

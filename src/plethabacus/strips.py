@@ -388,7 +388,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
     walk = [BeadMove(p, p - r) for p in range(delta, delta_star, -r)]
     witnesses = []
     for gamma in gammas:
-        b_ab = Abacus._trusted(a.bead_count, (a.bead_positions - {delta}) | {gamma})
+        b_ab = Abacus._trusted((a.bead_count, (a.bead_positions - {delta}) | {gamma}))
         tail = single_step_moves(b_ab, c, r)
         seq = [BeadMove(delta, gamma)] + tail
         seq_star = [BeadMove(delta_star, gamma)] + walk + tail
@@ -403,7 +403,7 @@ def pairing_witness(a: Abacus, c: Abacus, r: int) -> list[PairingWitness]:
                 f"{finals[delta]}, {finals[delta_star]}, not {alpha}, {alpha_star}"
             )
         mu_star = partition_of(
-            Abacus._trusted(a.bead_count, (a.bead_positions - {delta_star}) | {gamma})
+            Abacus._trusted((a.bead_count, (a.bead_positions - {delta_star}) | {gamma}))
         )
         witnesses.append(PairingWitness(
             delta, delta_star, gamma, alpha, alpha_star, pair_set,

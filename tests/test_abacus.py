@@ -207,6 +207,13 @@ def test_final_positions_tracks_beads_through_chain():
     assert finals == {1: 1, 4: 0, 6: 6, 8: 8, 14: 12, 15: 3, 19: 17}
 
 
+def test_final_positions_rejects_a_move_to_a_negative_position():
+    a = abacus_of(make_partition([2, 1]), 3)  # beads at 0, 2 and 4
+    with pytest.raises(IllegalMove, match=r"^move 1: negative position -2$") as e:
+        final_positions(a, [BeadMove(4, 3), BeadMove(0, -2)])
+    assert e.value.index == 1
+
+
 def test_inversion_sign_of_chain():
     sign, pairs = inversion_sign(abacus_of(LAM, 7), CHAIN_MOVES)
     assert sign == 1

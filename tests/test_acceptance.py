@@ -76,6 +76,7 @@ LABELS = {
     14: "plethystic expansions equal the oracle at two shapes of degree 80 and 84",
     15: "product folds equal the oracle's fold, |nu|<=4, degree<=16 and two of 23, 24",
     16: "plethystic expansions equal the oracle at three shapes of degree 80 to 100, r to 20",
+    17: "product folds equal the oracle's fold, |nu|<=4, 17<=degree<=24 and two of 36",
 }
 
 
@@ -388,3 +389,31 @@ def test_16_plethystic_expansion_equals_oracle_to_degree_100():
         want = oracle_plethystic_mn(nu, r, m)
         assert len(want.terms) == count, (nu, r, m)
         assert plethystic_mn(nu, r, m) == want, (nu, r, m)
+
+
+@acceptance(17)
+def test_17_product_folds_equal_the_oracle_fold_to_degree_36():
+    # acceptance 15's loops and factor lists, past its degree bound
+    multi_ms = ((1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 2), (0, 2))
+    power_rs = ((1, 2), (2, 2), (2, 3), (1, 2, 3), (1, 1, 2), (3, 4))
+    cases = 0
+    for nu in partitions_up_to(4):
+        for r in (1, 2, 3, 4):
+            for ms in multi_ms:
+                if 17 <= nu.size() + r * sum(ms) <= 24:
+                    want = oracle_fold(nu, [(r, m) for m in ms])
+                    assert plethystic_mn_multi(nu, r, list(ms)).terms == want, (nu, r, ms)
+                    cases += 1
+        for rs in power_rs:
+            for m in (0, 1, 2, 3):
+                if 17 <= nu.size() + sum(rs) * m <= 24:
+                    want = oracle_fold(nu, [(r, m) for r in rs])
+                    assert power_product_pleth(nu, list(rs), m).terms == want, (nu, rs, m)
+                    cases += 1
+    # two products of three equal factors at degree 36
+    empty = make_partition([])
+    r4 = plethystic_mn_multi(empty, 4, [3, 3, 3])
+    assert r4.terms == oracle_fold(empty, [(4, 3)] * 3)
+    r3 = plethystic_mn_multi(empty, 3, [4, 4, 4])
+    assert r3.terms == oracle_fold(empty, [(3, 4)] * 3)
+    assert (cases, len(r4.terms), len(r3.terms)) == (105, 3556, 3439)

@@ -85,6 +85,13 @@ def test_part_is_one_based_and_zero_padded():
     assert p.part(99) == 0
 
 
+def test_part_rejects_a_row_below_one():
+    p = make_partition([3, 1])
+    for i in (0, -1):
+        with pytest.raises(IndexError, match="^rows are numbered from 1$"):
+            p.part(i)
+
+
 def test_boxes_match_size_and_has_box():
     p = make_partition([3, 1])
     boxes = list(p.boxes())

@@ -284,6 +284,14 @@ def test_sgn_r_examples():
     assert sgn_r(make_skew(LAM2, NU2), 2) == 0
 
 
+def test_sgn_r_is_zero_when_r_does_not_divide_the_size():
+    lam = make_partition([3, 1])
+    assert sgn_r(make_skew(lam, make_partition([])), 3) == 0
+    assert sgn_r(make_skew(lam, make_partition([1])), 2) == 0
+    # the same outer shape at a dividing r has a sign
+    assert sgn_r(make_skew(lam, make_partition([])), 4) == -1
+
+
 def test_sgn_r_rejects_nonpositive_strip_length():
     lam, nu = make_partition([2, 2]), make_partition([])
     for r in (0, -2):

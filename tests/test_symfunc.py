@@ -117,6 +117,19 @@ def test_expansion_input_from_outside_is_rejected_by_field():
         ({"degree": 1, "terms": [[1]]}, r"^term must be a JSON object, got \[1\]$"),
         ({"degree": 1, "terms": [{"coeff": 1}]}, r"^term has no 'lambda' field$"),
         ({"degree": 1, "terms": [{"lambda": [1]}]}, r"^term has no 'coeff' field$"),
+        # JSON true and false are Python bools, which the integer checks take as 1 and 0
+        (
+            {"degree": True, "terms": [{"lambda": [True], "coeff": True}]},
+            r"^degree holds a JSON boolean where an integer belongs, got True$",
+        ),
+        (
+            {"degree": 2, "terms": [{"lambda": [1, True], "coeff": 1}]},
+            r"^lambda holds a JSON boolean where an integer belongs, got \[1, True\]$",
+        ),
+        (
+            {"degree": 1, "terms": [{"lambda": [1], "coeff": False}]},
+            r"^coeff holds a JSON boolean where an integer belongs, got False$",
+        ),
     ]:
         with pytest.raises(ValueError, match=message):
             SchurExpansion.from_json(data)

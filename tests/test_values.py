@@ -58,6 +58,22 @@ def test_records_round_trip_through_pickle_and_copy():
             assert type(clone) is type(value) and clone == value, value
 
 
+def test_records_write_plain_json():
+    lam, nu = make_partition([2, 2]), make_partition([1])
+    assert make_skew(lam, nu).to_json() == {"outer": [2, 2], "inner": [1]}
+    (strip,) = [st for st in border_strips(lam, 3) if st.inner == nu]
+    assert strip.to_json() == {
+        "outer": [2, 2],
+        "inner": [1],
+        "height": 1,
+        "top_right": [1, 2],
+        "bottom_left": [2, 1],
+    }
+    a = abacus_of(make_partition([2, 1]), 3)
+    assert a.sorted_beads() == [0, 2, 4]
+    assert a.to_json() == {"bead_count": 3, "beads": [0, 2, 4]}
+
+
 def test_schur_expansion_is_unhashable_and_compares_by_terms():
     # its terms are a dict, so the class declares itself unhashable
     for e in (SchurExpansion(0, {}), plethystic_mn(NU2, 2, 1)):
