@@ -194,24 +194,22 @@ def cmd_abacus(args) -> int:
     return 0
 
 
-def _expansion_case(case) -> tuple[bool, str]:
+def _expansion_case(case) -> str | None:
     nu, r, m = case
-    ours = plethystic_mn(nu, r, m)
-    truth = oracle_plethystic_mn(nu, r, m)
-    if ours == truth:
-        return True, ""
-    return False, (
+    if plethystic_mn(nu, r, m) == oracle_plethystic_mn(nu, r, m):
+        return None
+    return (
         f"expansion mismatch at nu={list(nu)} r={r} m={m};"
         f" repro: plethabacus expand --nu {_partition_arg(nu)} --r {r} --m {m}"
     )
 
 
-def _recursion_case(case) -> tuple[bool, str]:
+def _recursion_case(case) -> str | None:
     lam, nu, r = case
     report = sign_recursion_check(make_skew(lam, nu), r)
     if report.lhs == report.rhs:
-        return True, ""
-    return False, (
+        return None
+    return (
         f"recursion mismatch at lambda={list(lam)} nu={list(nu)} r={r}:"
         f" lhs={report.lhs} rhs={report.rhs};"
         f" repro: plethabacus sgn --lambda {_partition_arg(lam)}"
@@ -243,8 +241,8 @@ def run_verify(config: VerifyConfig, out=None, err=None) -> int:
                 print(f"verify: {name} r={r} m={m}: {len(block)} cases", file=err, flush=True)
                 totals[name] += len(block)
                 for degree, case in block:
-                    ok, msg = check(case)
-                    if not ok:
+                    msg = check(case)
+                    if msg:
                         failures.append((degree, msg))
 
     print(f"expansion vs determinant oracle: {totals['expansion']} cases", file=out)

@@ -337,7 +337,10 @@ class SchurExpansion(_Record):
             parts, coeff = _json_fields("term", t, "lambda", "coeff")
             _no_json_boolean("lambda", parts)
             _no_json_boolean("coeff", coeff)
-            p = make_partition(parts)
+            try:
+                p = make_partition(parts)
+            except InvalidPartition as e:
+                raise InvalidPartition(f"lambda must be a partition, got {parts!r}: {e}") from None
             if p in terms:
                 raise ValueError(f"shape {p.to_json()} is repeated")
             terms[p] = coeff

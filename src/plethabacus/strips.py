@@ -455,33 +455,34 @@ class SignRecursionReport(_Record):
 
 
 # The memo of sign_recursion_check: three tables under one budget.
-# _removals[(lam, r)] = (groups, order), where groups[k], in report order,
-# holds the removals built so far of the bead at index order[k] of lam's
-# descending bead list, in ascending q, and is a tuple once it holds them
-# all. Each removal is stored as its zero-tail summand
+# _removals[(lam, r)] maps the index of each bead of lam's descending bead
+# list, in report order, to that bead's group: the removals built so far,
+# in ascending q, each stored as its zero-tail summand
 # RecursionSummand(mu, q*r, strip sign, 0), the very object a report holds
-# where sgn_r(mu/nu) is 0. _tails[(nu, r)] maps every mu signed so far
-# to sgn_r(mu/nu). _shared maps each value to the one object the memo and
-# the reports hold for it: every removal's mu and summand, and every
-# nonzero-tail summand of a report, so a shape or summand that many outer
-# shapes meet is one object. _weight counts the bytes of the tables, set
-# high: _GROUP_BYTES * (b + 4) for a shape of b beads or rows (its lists or
-# dict, key and slot come to at most 4 groups' worth), _PART_BYTES *
-# (len(mu) + 5) per removal, a part being a slot and an int object (the
-# summand, mu's header, the group's slot and the two _shared slots fit in
-# the 5), whether or not its mu and summand are shared, _SLOT_BYTES per
-# tail, whose mu is a removal's, and _SUMMAND_BYTES per nonzero-tail summand
-# in _shared (its 80-byte block and a slot). A call that finds _weight past
-# _CAP empties all three tables first, so the memo holds at most _CAP plus
-# the last call's own shapes, removals, tails and summands. A call holds
-# _lock from the clear to its last weight update, so concurrent calls
-# extend no group twice and lose no weight.
+# where sgn_r(mu/nu) is 0. A group is a list while it can grow and a tuple
+# once it holds them all. _tails[(nu, r)] maps every mu signed so far to
+# sgn_r(mu/nu). _shared maps each value to the one object the memo and the
+# reports hold for it: every removal's mu and summand, and every
+# nonzero-tail summand of a report (the first built for its value), so a
+# shape or summand that many outer shapes meet is one object. _weight
+# counts the bytes of the tables, set high: _GROUP_BYTES * (b + 4) for a
+# shape of b beads or rows (its dict, key and slot come to at most 4
+# groups' worth), _PART_BYTES * (len(mu) + 5) per removal, a part being a
+# slot and an int object (the summand, mu's header, the group's slot and
+# the two _shared slots fit in the 5), whether or not its mu and summand
+# are shared, _SLOT_BYTES per tail, whose mu is a removal's, and
+# _SUMMAND_BYTES per nonzero-tail summand in _shared (its 80-byte block and
+# a slot). A call that finds _weight past _CAP empties all three tables
+# first, so the memo holds at most _CAP plus the last call's own shapes,
+# removals, tails and summands. A call holds _lock from the clear to its
+# last weight update, so concurrent calls extend no group twice and lose
+# no weight.
 _CAP = 8 << 20
 _GROUP_BYTES = 104
 _PART_BYTES = 40
 _SLOT_BYTES = 64
 _SUMMAND_BYTES = 80 + _SLOT_BYTES
-_removals: dict[tuple[Partition, int], tuple[list, list[int]]] = {}
+_removals: dict[tuple[Partition, int], dict[int, list | tuple]] = {}
 _tails: dict[tuple[Partition, int], dict[Partition, int]] = {}
 _shared: dict = {}
 _weight = 0
@@ -508,25 +509,19 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
     longer than m*r, which leaves mu smaller than nu, is never reached.
 
     The removals depend on lam and r alone, so the memo (see its comment)
-    keeps them per outer shape and every inner shape walks the same
-    groups. A removal is stored as its summand with tail sign 0, and a
-    report holds that object wherever the tail sign is 0, as it is for most
-    summands. Each mu and summand the memo or a report holds is the one
-    object _shared keeps for its value, whatever outer shape met it; a
-    nonzero-tail summand is interned where it is built, so a report holds
-    the first object built for its value. An unfinished group is extended
-    before it is read when it is empty or its last stored removal keeps
-    nu (by the pruning, when every stored one does): one _raise_bead move
-    against nu's bead list per free target, after the last stored strip,
-    up to the first that fails nu or to q = m. One loop then reads the
-    group, old removals and new. So a call moves a bead only where a walk
-    without the memo would, and the memo holds only removals that were
-    summands of some call. A sweep meets most tails many times, so each
-    tail sign sgn_r(mu/nu) is computed once (a new removal's on its moved
-    bead list) and then read from the memo; a mu found there contains nu.
-    The memo has no option and changes no report. Concurrent calls are
-    safe: each holds the memo's lock for its whole walk, so they run one
-    at a time.
+    keeps each bead's group per outer shape for every inner shape to walk.
+    An unfinished group is extended before it is read when it is empty or
+    its last stored removal keeps nu (by the pruning, when every stored
+    one does): one _raise_bead move against nu's bead list per free
+    target, after the last stored strip, up to the first that fails nu or
+    to q = m. One loop then reads the group, old removals and new. So a
+    call moves a bead only where a walk without the memo would, and the
+    memo holds only removals that were summands of some call. A sweep
+    meets most tails many times, so each tail sign sgn_r(mu/nu) is
+    computed once (a new removal's on its moved bead list) and then read
+    from the memo; a mu found there contains nu. The memo has no option
+    and changes no report, == and repr alike, whatever it holds and in
+    whatever order the skews come, and concurrent calls are safe.
 
     The left side sgn_r(lam/nu) is read off the report, not chained
     again: the greedy chain first raises the bead of the first row where
@@ -561,15 +556,14 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
             _shared.clear()
             _weight = 0
         beads = inner = None
-        entry = _removals.get((lam, r))
-        if entry is None:
+        groups = _removals.get((lam, r))
+        if groups is None:
             beads = _beads_of(lam, b)
             # a stable sort by runner keeps each runner's positions descending
             order = sorted(range(b), key=lambda k: beads[k] % r)
             # a bead below r has no removal at all
-            entry = _removals[lam, r] = ([() if beads[i] < r else [] for i in order], order)
+            groups = _removals[lam, r] = {i: () if beads[i] < r else [] for i in order}
             _weight += _GROUP_BYTES * (b + 4)
-        groups, order = entry
         tails = _tails.get((nu, r))
         if tails is None:
             tails = _tails[nu, r] = {}
@@ -579,7 +573,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         new = tuple.__new__  # a RecursionSummand, with no Python-level call
         intern = _shared.setdefault
         occupied = None
-        for k, group in enumerate(groups):
+        for i, group in groups.items():
             # extend an unfinished group before reading it when its last
             # removal keeps nu (by the pruning, when all of them do)
             if type(group) is list and (
@@ -591,7 +585,6 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                     if inner is None:
                         inner = _beads_of(nu, b)
                     occupied = set(beads)
-                i = order[k]
                 beta = beads[i]
                 start = beta - (group[-1].strip_length if group else 0) - r
                 for target in range(start, max(beta - size, 0) - 1, -r):
@@ -612,7 +605,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
                 else:
                     # no target >= 0 is left untried
                     if beta < size + r:
-                        groups[k] = group = tuple(group)
+                        groups[i] = group = tuple(group)
             for removal in group:
                 mu, length, sign, _ = removal
                 tail = tails.get(mu)
@@ -634,7 +627,7 @@ def sign_recursion_check(skew: SkewPartition, r: int) -> SignRecursionReport:
         # removal at the head of its group; the walk has signed its tail
         # exactly when that removal keeps nu
         lhs = 0
-        group = groups[order.index(first)]
+        group = groups[first]
         if group:
             mu, length, sign, _ = group[0]
             if length == r:

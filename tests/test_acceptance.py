@@ -77,6 +77,7 @@ LABELS = {
     15: "product folds equal the oracle's fold, |nu|<=4, degree<=16 and two of 23, 24",
     16: "plethystic expansions equal the oracle at three shapes of degree 80 to 100, r to 20",
     17: "product folds equal the oracle's fold, |nu|<=4, 17<=degree<=24 and two of 36",
+    18: "plethystic expansions equal the oracle, |nu|<=8, r<=8, m<=12, degree<=26 and one of 100",
 }
 
 
@@ -417,3 +418,22 @@ def test_17_product_folds_equal_the_oracle_fold_to_degree_36():
     r3 = plethystic_mn_multi(empty, 3, [4, 4, 4])
     assert r3.terms == oracle_fold(empty, [(3, 4)] * 3)
     assert (cases, len(r4.terms), len(r3.terms)) == (105, 3556, 3439)
+
+
+@acceptance(18)
+def test_18_plethystic_expansion_equals_oracle_to_degree_26_and_100():
+    # every single factor in range, m = 0 included
+    cases = terms = 0
+    for nu in partitions_up_to(8):
+        for r in range(1, 9):
+            for m in range(13):
+                if nu.size() + r * m <= 26:
+                    want = oracle_plethystic_mn(nu, r, m)
+                    assert plethystic_mn(nu, r, m) == want, (nu, r, m)
+                    cases += 1
+                    terms += len(want.terms)
+    # the Baseline case at degree 100 that acceptance 16 leaves out
+    empty = make_partition([])
+    want = oracle_plethystic_mn(empty, 10, 10)
+    assert plethystic_mn(empty, 10, 10) == want
+    assert (cases, terms, len(want.terms)) == (3445, 59189, 92378)

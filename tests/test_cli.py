@@ -355,7 +355,7 @@ def test_verify_past_degree_15(capsys):
 
 def test_verify_reports_mismatches(capsys, monkeypatch):
     # force one failing case to exercise the mismatch path
-    monkeypatch.setattr(cli, "_expansion_case", lambda case: (False, f"boom {case}"))
+    monkeypatch.setattr(cli, "_expansion_case", lambda case: f"boom {case}")
     code, out, _ = run_cli(
         capsys,
         ["verify", "--max-nu-size", "0", "--r-range", "1..1", "--m-range", "1..1",

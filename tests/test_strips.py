@@ -786,12 +786,12 @@ def _removal_weight(skip=None):
     # the removal table's weight, recounted from what it holds, without
     # the entry keyed skip
     total = 0
-    for key, (groups, order) in strips_module._removals.items():
-        assert len(groups) == len(order)
+    for key, groups in strips_module._removals.items():
+        assert sorted(groups) == list(range(len(groups)))
         if key != skip:
             total += strips_module._GROUP_BYTES * (len(groups) + 4) + sum(
                 strips_module._PART_BYTES * (len(mu) + 5)
-                for group in groups
+                for group in groups.values()
                 for mu, _, _, _ in group
             )
     return total
@@ -823,8 +823,8 @@ def _memo_weight():
 def _tails_are_removals():
     # every tail's mu is the very object some removal holds (ids of live
     # objects are distinct, so an id match is an `is` match)
-    held = {id(mu) for groups, _ in strips_module._removals.values()
-            for group in groups for mu, _, _, _ in group}
+    held = {id(mu) for groups in strips_module._removals.values()
+            for group in groups.values() for mu, _, _, _ in group}
     return all(id(mu) in held for tails in strips_module._tails.values() for mu in tails)
 
 
@@ -907,14 +907,14 @@ GOLDEN_MEMO_DIGEST = "18fa4514436bc3ee9a36d162a441f490f5c0dab1ebf105c522402cea27
 
 
 def _memo_digest():
-    # each outer shape's groups (kind and contents) and bead order, each
+    # each outer shape's groups (kind and contents) and bead indices, each
     # inner shape's tails in sorted order (the walk's fill order is not
     # read anywhere), the weight and the value table's size, by sorted key
     digest = hashlib.sha256()
     for key in sorted(strips_module._removals):
-        groups, order = strips_module._removals[key]
-        kinds = [(type(group).__name__, list(group)) for group in groups]
-        digest.update(repr((key, kinds, order)).encode())
+        groups = strips_module._removals[key]
+        kinds = [(type(group).__name__, list(group)) for group in groups.values()]
+        digest.update(repr((key, kinds, list(groups))).encode())
     for key in sorted(strips_module._tails):
         digest.update(repr((key, sorted(strips_module._tails[key].items()))).encode())
     digest.update(repr((strips_module._weight, len(strips_module._shared))).encode())
@@ -1084,7 +1084,7 @@ def test_an_outer_shape_heavier_than_the_cap_is_kept_for_one_call(monkeypatch):
     _empty_memo(monkeypatch)
     want = repr(sign_recursion_check(heavy, 1))
     heavy_weight = strips_module._weight
-    assert sum(map(len, strips_module._removals[heavy.outer, 1][0])) == 6
+    assert sum(map(len, strips_module._removals[heavy.outer, 1].values())) == 6
     _empty_memo(monkeypatch)
     sign_recursion_check(light, 1)
     # light fills the memo to the cap, which heavy alone passes
@@ -1114,23 +1114,23 @@ def test_removal_table_builds_only_the_strips_a_call_can_use(monkeypatch):
     lam = make_partition([big])
     report = sign_recursion_check(make_skew(lam, make_partition([big - 1])), 1)
     assert report.summands == ((make_partition([big - 1]), 1, 1, 1),)
-    assert strips_module._removals[lam, 1][0] == [[(make_partition([big - 1]), 1, 1, 0)]]
+    assert list(strips_module._removals[lam, 1].values()) == [[(make_partition([big - 1]), 1, 1, 0)]]
     # a larger m extends the same outer shape's removals
     report = sign_recursion_check(make_skew(lam, make_partition([big - 3])), 1)
     assert [s.strip_length for s in report.summands] == [1, 2, 3]
-    assert [len(g) for g in strips_module._removals[lam, 1][0]] == [3]
+    assert [len(g) for g in strips_module._removals[lam, 1].values()] == [3]
     # on a cold memo a call keeps exactly the removals of its summands
     for lam, nu, r in skews_up_to(8, 6, (1, 2, 3)):
         _empty_memo(monkeypatch)
         report = sign_recursion_check(make_skew(lam, nu), r)
         # an empty skew (m = 0) makes no entry
-        groups = strips_module._removals.get((lam, r), ((),))[0]
+        groups = strips_module._removals.get((lam, r), {}).values()
         held = [x for group in groups for x in group]
         assert held == [(*s[:3], 0) for s in report.summands], (lam, nu, r)
 
 
 def _stored_removals():
-    return [e for groups, _ in strips_module._removals.values() for g in groups for e in g]
+    return [e for groups in strips_module._removals.values() for g in groups.values() for e in g]
 
 
 def test_zero_tail_summands_are_the_memo_removals(monkeypatch):
@@ -1148,7 +1148,7 @@ def test_zero_tail_summands_are_the_memo_removals(monkeypatch):
         stored_ids = {id(e) for e in stored}
         zero = 0
         for (skew, r), report in zip(cases, reports):
-            groups = strips_module._removals.get((skew.outer, r), ((),))[0]
+            groups = strips_module._removals.get((skew.outer, r), {}).values()
             own = {id(e) for g in groups for e in g}
             for s in report.summands:
                 if s.tail_sign == 0:

@@ -130,6 +130,27 @@ def test_expansion_input_from_outside_is_rejected_by_field():
             {"degree": 1, "terms": [{"lambda": [1], "coeff": False}]},
             r"^coeff holds a JSON boolean where an integer belongs, got False$",
         ),
+        # a bad shape is named by its field, whatever make_partition finds wrong
+        (
+            {"degree": 2, "terms": [{"lambda": "21", "coeff": 1}]},
+            r"^lambda must be a partition, got '21': ",
+        ),
+        (
+            {"degree": 2, "terms": [{"lambda": 5, "coeff": 1}]},
+            r"^lambda must be a partition, got 5: ",
+        ),
+        (
+            {"degree": 2, "terms": [{"lambda": [2, 1.5], "coeff": 1}]},
+            r"^lambda must be a partition, got \[2, 1\.5\]: ",
+        ),
+        (
+            {"degree": 3, "terms": [{"lambda": [1, 2], "coeff": 1}]},
+            r"^lambda must be a partition, got \[1, 2\]: not weakly decreasing",
+        ),
+        (
+            {"degree": 1, "terms": [{"lambda": [2, -1], "coeff": 1}]},
+            r"^lambda must be a partition, got \[2, -1\]: negative part",
+        ),
     ]:
         with pytest.raises(ValueError, match=message):
             SchurExpansion.from_json(data)
