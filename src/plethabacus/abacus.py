@@ -10,10 +10,10 @@ between the two positions.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, index
 from typing import Iterable, NamedTuple, Sequence
 
-from .partitions import Partition, _Checked, _integer, _integers, _partition
+from .partitions import Partition, _Checked, _integer, _integers, _list_of, _partition
 
 
 class BeadCountTooSmall(ValueError):
@@ -79,14 +79,8 @@ class Abacus(_Checked, _AbacusFields):
 
 
 def _abacus(name: str, abacus: Abacus) -> Abacus:
-    """abacus itself if it is an Abacus, else an InvalidAbacus naming the argument.
-
-    Bead data in any other form is rejected, not converted, as
-    partitions._partition rejects parts.
-    """
-    if not isinstance(abacus, Abacus):
-        raise InvalidAbacus(f"{name} must be an Abacus, got {abacus!r}; build it with abacus_of")
-    return abacus
+    """abacus itself if it is an Abacus, by partitions._partition's rule."""
+    return _partition(name, abacus, Abacus, "abacus_of", InvalidAbacus)
 
 
 def _beads_of(parts: tuple[int, ...], bead_count: int) -> list[int]:
@@ -135,10 +129,17 @@ def runner_beads(abacus: Abacus, r: int, t: int) -> list[int]:
 
 
 def final_positions(abacus: Abacus, moves: Sequence[BeadMove]) -> dict[int, int]:
-    """Apply moves left to right; map each bead's original position to its final one."""
+    """Apply moves left to right; map each bead's original position to its final one.
+
+    Each move must be two integer positions; a float or a string is rejected.
+    """
     abacus = _abacus("abacus", abacus)
     origin = {p: p for p in abacus.bead_positions}
-    for i, (src, dst) in enumerate(moves):
+    for i, move in enumerate(_list_of("moves", moves, "bead moves")):
+        try:
+            src, dst = map(index, move)
+        except (TypeError, ValueError):
+            raise IllegalMove(i, f"a move is two integer positions, got {move!r}") from None
         if src not in origin:
             raise IllegalMove(i, f"no bead at {src}")
         if dst in origin:

@@ -45,6 +45,14 @@ def _integer(name: str, value: int, least: int | None) -> int:
     return value
 
 
+def _list_of(name: str, values: Iterable, noun: str) -> Iterator:
+    """An iterator over values, else a ValueError naming the argument and its entries."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of {noun}, got {values!r}") from None
+
+
 class Box(NamedTuple):
     row: int
     column: int
@@ -85,6 +93,7 @@ class Partition(tuple):
 
     def part(self, i: int) -> int:
         """The i-th part, 1-based, zero beyond the last row."""
+        i = _integer("row", i, None)
         if i < 1:
             raise IndexError("rows are numbered from 1")
         return self[i - 1] if i <= len(self) else 0
@@ -103,6 +112,7 @@ class Partition(tuple):
                 yield Box(i, j)
 
     def has_box(self, row: int, column: int) -> bool:
+        row, column = _integer("row", row, None), _integer("column", column, None)
         return 1 <= row <= len(self) and 1 <= column <= self[row - 1]
 
     def to_json(self) -> list[int]:
@@ -129,17 +139,18 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition._trusted(seq)
 
 
-def _partition(name: str, shape: Partition) -> Partition:
-    """shape itself if it is a Partition, else an InvalidPartition naming the argument.
+def _partition(name: str, value, kind=Partition, builder="make_partition", error=InvalidPartition):
+    """value itself if it is a kind, else an error naming the argument and its builder.
 
-    A tuple or a list of parts is rejected, not converted: the public
-    calls that take a shape check it here, once, where it enters.
+    The one rule for a record argument (Partition, SkewPartition, Abacus):
+    a tuple, a list or None is rejected, not converted, so a public call
+    checks each record once, where it enters. The defaults are the
+    Partition's, so a shape check is one call.
     """
-    if not isinstance(shape, Partition):
-        raise InvalidPartition(
-            f"{name} must be a Partition, got {shape!r}; build it with make_partition"
-        )
-    return shape
+    if not isinstance(value, kind):
+        a = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {a} {kind.__name__}, got {value!r}; build it with {builder}")
+    return value
 
 
 class _Checked(tuple):
@@ -207,15 +218,8 @@ def make_skew(outer: Partition, inner: Partition) -> SkewPartition:
 
 
 def _skew(name: str, skew: SkewPartition) -> SkewPartition:
-    """skew itself if it is a SkewPartition, else an InvalidPartition naming the argument.
-
-    A pair of shapes is rejected, not converted, as _partition rejects parts.
-    """
-    if not isinstance(skew, SkewPartition):
-        raise InvalidPartition(
-            f"{name} must be a SkewPartition, got {skew!r}; build it with make_skew"
-        )
-    return skew
+    """skew itself if it is a SkewPartition, by _partition's rule."""
+    return _partition(name, skew, SkewPartition, "make_skew")
 
 
 class _Record:

@@ -8,9 +8,7 @@ length r whose greedy removal chain works back down to nu.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .partitions import Partition, SchurExpansion, _integer, _partition
+from .partitions import Partition, SchurExpansion, _integer, _list_of, _partition
 
 
 def mn_multiply(nu: Partition, r: int) -> SchurExpansion:
@@ -140,21 +138,13 @@ def _fold(nu: Partition, factors: list[tuple[int, int]]) -> SchurExpansion:
     return SchurExpansion._trusted(degree, acc)
 
 
-def _factor_list(name: str, values: list[int]) -> Iterator[int]:
-    """An iterator over a factor list, else a ValueError naming the argument."""
-    try:
-        return iter(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a list of integers, got {values!r}") from None
-
-
 def plethystic_mn_multi(nu: Partition, r: int, ms: list[int]) -> SchurExpansion:
     """Expansion of s_nu * (p_r applied to h_{m_1} * ... * h_{m_d})."""
     nu, r = _partition("nu", nu), _integer("r", r, 1)
-    return _fold(nu, [(r, _integer("m", m, 0)) for m in _factor_list("ms", ms)])
+    return _fold(nu, [(r, _integer("m", m, 0)) for m in _list_of("ms", ms, "integers")])
 
 
 def power_product_pleth(nu: Partition, rs: list[int], m: int) -> SchurExpansion:
     """Expansion of s_nu * product over i of (p_{r_i} applied to h_m)."""
     nu, m = _partition("nu", nu), _integer("m", m, 0)
-    return _fold(nu, [(_integer("r", r, 1), m) for r in _factor_list("rs", rs)])
+    return _fold(nu, [(_integer("r", r, 1), m) for r in _list_of("rs", rs, "integers")])

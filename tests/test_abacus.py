@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from oracles import (
@@ -212,6 +214,29 @@ def test_final_positions_rejects_a_move_to_a_negative_position():
     with pytest.raises(IllegalMove, match=r"^move 1: negative position -2$") as e:
         final_positions(a, [BeadMove(4, 3), BeadMove(0, -2)])
     assert e.value.index == 1
+
+
+@pytest.mark.parametrize("moves", [[(5, 3.5)], [(5, 3.0)], [5], [(5,)], [(5, 3, 1)], [("5", 3)]])
+def test_final_positions_rejects_a_move_that_is_not_two_integer_positions(moves):
+    # a float position was applied as given, and a non-pair raised TypeError
+    a = abacus_of(make_partition([3, 1]), 3)  # beads at 0, 2 and 5
+    message = rf"^move 1: a move is two integer positions, got {re.escape(repr(moves[0]))}$"
+    with pytest.raises(IllegalMove, match=message) as e:
+        final_positions(a, [BeadMove(0, 1), *moves])
+    assert e.value.index == 1
+
+
+def test_a_move_list_that_cannot_be_iterated_is_rejected_by_name():
+    a = abacus_of(make_partition([3, 1]), 3)
+    for call in (final_positions, inversion_sign):
+        with pytest.raises(ValueError, match=r"^moves must be a list of bead moves, got None$"):
+            call(a, None)
+    # a string iterates, but its characters are not moves
+    with pytest.raises(IllegalMove, match=r"^move 0: a move is two integer positions, got 'a'$"):
+        inversion_sign(a, "ab")
+    # an int-valued move in any sequence form is applied as a BeadMove is
+    assert final_positions(a, [[5, 3]]) == final_positions(a, [BeadMove(5, 3)])
+    assert final_positions(a, [[5, 3]]) == {0: 0, 2: 2, 5: 3}
 
 
 def test_inversion_sign_of_chain():

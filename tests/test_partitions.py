@@ -90,6 +90,21 @@ def test_part_rejects_a_row_below_one():
     for i in (0, -1):
         with pytest.raises(IndexError, match="^rows are numbered from 1$"):
             p.part(i)
+    # a float or a string row is named, where it raised TypeError
+    for i in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match=f"^row must be an integer, got {i!r}$"):
+            p.part(i)
+
+
+@pytest.mark.parametrize(
+    "row, column, name",
+    [(1, 1.5, "column"), (1, 2.0, "column"), (1.5, 1, "row"), ("1", 1, "row"), (2.0, 1, "row")],
+)
+def test_has_box_rejects_a_non_integer_index(row, column, name):
+    # (1, 1.5) and (1, 2.0) read True, and a float or a string row raised TypeError
+    value = column if name == "column" else row
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        make_partition([3, 1]).has_box(row, column)
 
 
 def test_boxes_match_size_and_has_box():
